@@ -79,8 +79,9 @@ let timed metrics oracle f =
     runs the restore-equivalence (fault-injection) oracle as the final
     stage. [probe_index] round-robins the probe-parity variant (full
     attach / tiered / mid-run attach / mid-run detach) across the
-    campaign — pass the case index. *)
-let check_generated ?metrics ?restore ?(probe_index = 0) (info : Gen.info) : [ `Pass | `Skip | `Fail of string * string ] =
+    campaign — pass the case index; with [seed] it also draws the groups
+    of the sparse probe-parity variant. *)
+let check_generated ?metrics ?restore ?seed ?(probe_index = 0) (info : Gen.info) : [ `Pass | `Skip | `Fail of string * string ] =
   let timed oracle f = timed metrics oracle f in
   let m = info.Gen.module_ in
   let restore_stage fallthrough =
@@ -114,7 +115,7 @@ let check_generated ?metrics ?restore ?(probe_index = 0) (info : Gen.info) : [ `
                 (* engine-probe backend vs the AOT rewriter on the full
                    hook-event stream, incl. mid-run attach/detach and
                    tier-1 deopt variants *)
-                (match timed "probe-parity" (fun () -> Oracle.probe_parity ~index:probe_index info) with
+                (match timed "probe-parity" (fun () -> Oracle.probe_parity ?seed ~index:probe_index info) with
                  | Oracle.Violation { kind; detail } -> `Fail (kind, detail)
                  | Oracle.Skip _ | Oracle.Pass ->
                    (* static over-approximation soundness: observed execution
@@ -283,7 +284,7 @@ let run ?(log = fun (_ : string) -> ()) ?out_dir ?metrics ?(faults = false) ?(jo
       let info = gen_case ~seed ~index in
       let restore = if faults then Some (seed, index) else None in
       if faults then stats.faulted <- stats.faulted + 1;
-      (match check_generated ?metrics ?restore ~probe_index:index info with
+      (match check_generated ?metrics ?restore ~seed ~probe_index:index info with
        | `Pass -> ()
        | `Skip -> stats.skips <- stats.skips + 1
        | `Fail (oracle, detail) ->
@@ -376,7 +377,7 @@ let replay ?(faults = false) ~seed ~index (case : case_kind) : disposition =
   | Generated ->
     let info = gen_case ~seed ~index in
     let restore = if faults then Some (seed, index) else None in
-    (match check_generated ?restore ~probe_index:index info with
+    (match check_generated ?restore ~seed ~probe_index:index info with
      | `Pass -> Pass ""
      | `Skip -> Skip "base run exhausted its fuel"
      | `Fail (oracle, detail) -> Fail { oracle; detail })

@@ -48,7 +48,7 @@ val mut_case : seed:int -> index:int -> string
 (** {1 Oracles per case} *)
 
 val check_generated :
-  ?metrics:Obs.Metrics.registry -> ?restore:int * int -> ?probe_index:int ->
+  ?metrics:Obs.Metrics.registry -> ?restore:int * int -> ?seed:int -> ?probe_index:int ->
   Gen.info -> [ `Pass | `Skip | `Fail of string * string ]
 (** The generated-module pipeline — validate, round-trip, static
     instrumentation lint, differential execution, tier parity, probe
@@ -58,7 +58,8 @@ val check_generated :
     [(seed, index)] and appends the restore-equivalence
     (fault-injection) oracle as the final stage. [?probe_index]
     (default 0) round-robins the probe-parity variant; the campaign
-    passes the case index. *)
+    passes the case index, and its [?seed], which with the index draws
+    the groups of the sparse probe-parity variant. *)
 
 val check_mutated :
   ?metrics:Obs.Metrics.registry ->

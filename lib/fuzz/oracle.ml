@@ -701,7 +701,12 @@ let absint_soundness (info : Gen.info) : verdict =
     - with a mid-run attach or detach (a step trigger at half the plain
       run's step count), the probe stream to be an order-preserving
       subsequence of the AOT stream — live attachment may only narrow
-      the observation window, never reorder or invent events.
+      the observation window, never reorder or invent events;
+    - with a sparse subset of the groups drawn from the case seed and
+      attached for the whole run, the probe stream to be byte-identical
+      to the stream of the AOT rewrite for the same groups. Sparse
+      probes leave fused superinstructions between the probe slots, so
+      this is the variant that runs them side by side.
 
     Both recorded runs drop events emitted during instantiation (the
     start function): probes attach after [instantiate] returns, so the
@@ -713,6 +718,8 @@ type probe_variant =
   | P_tiered  (** attach before the run, tier-1 compiler forced on *)
   | P_attach_mid of int  (** tiered; attach once [steps] reaches [n] *)
   | P_detach_mid of int  (** attached from the start, detached at [n] *)
+  | P_sparse of Wasabi.Hook.group list
+      (** only these groups, attached before the run, tier 0 *)
 
 (** Uninstrumented run that also reports the final step count (the
     anchor for mid-run trigger placement). The invoke is guarded
@@ -736,10 +743,10 @@ let run_plain_steps (m : Ast.module_) ~fuel : (run_result * int, string) result 
     cleared right after instantiation so start-function events (which
     the probe run cannot observe — it attaches afterwards) are not
     part of the comparison. *)
-let run_recorded_aot (m : Ast.module_) ~fuel ~buf : (run_result, string) result =
+let run_recorded_aot ?groups (m : Ast.module_) ~fuel ~buf : (run_result, string) result =
   match
     guarded (fun () ->
-      let res = Wasabi.Instrument.instrument m in
+      let res = Wasabi.Instrument.instrument ?groups m in
       let inst, _rt = Wasabi.Runtime.instantiate ~fuel res (recording_analysis buf) in
       Buffer.clear buf;
       let outcome =
@@ -778,7 +785,11 @@ let run_probed (m : Ast.module_) ~fuel ~variant ~buf : (run_result, string) resu
          Wasabi.Runtime.Probe.attach_at c ~step:n all
        | P_detach_mid n ->
          let e = Wasabi.Runtime.Probe.attach c all in
-         Wasabi.Runtime.Probe.detach_at c ~step:n e);
+         Wasabi.Runtime.Probe.detach_at c ~step:n e
+       | P_sparse groups ->
+         ignore
+           (Wasabi.Runtime.Probe.attach c
+              { all with sp_groups = List.map Wasabi.Hook.group_name groups }));
       let outcome =
         try Ok (Interp.invoke_export inst "run" [])
         with e ->
@@ -808,10 +819,19 @@ let subsequence_failure ~sub ~of_ =
   in
   go 0 (String.split_on_char '\n' sub) (String.split_on_char '\n' of_)
 
+(** The sparse variant's hook groups: one to three of the figure groups,
+    drawn from the case's [(seed, index)]. *)
+let sparse_groups ~seed ~index =
+  let rng = Rng.create (Hashtbl.hash ("probe-parity sparse", seed, index)) in
+  let pool = Array.of_list Wasabi.Hook.figure_groups in
+  List.sort_uniq compare
+    (List.init (Rng.range rng 1 3) (fun _ -> pool.(Rng.int rng (Array.length pool))))
+
 (** The probe-parity oracle. [index] picks the variant (round-robin),
     so a campaign interleaves full-attach exactness with mid-run
-    attach/detach and tier-1 deopt cases. *)
-let probe_parity ~index (info : Gen.info) : verdict =
+    attach/detach and tier-1 deopt cases; every case then also runs the
+    sparse variant, its groups drawn from [(seed, index)]. *)
+let probe_parity ?(seed = 0) ~index (info : Gen.info) : verdict =
   let m = info.Gen.module_ in
   match run_plain_steps m ~fuel:base_fuel with
   | Error crash -> violation "totality-exec" "uninstrumented run crashed: %s" crash
@@ -820,49 +840,63 @@ let probe_parity ~index (info : Gen.info) : verdict =
       violation "engine-bug" "uninstrumented run: %s" (string_of_outcome base.outcome)
     else if is_out_of_fuel base.outcome then Skip "base-exhausted"
     else begin
-      let buf_aot = Buffer.create 1024 in
-      match run_recorded_aot m ~fuel:(base_fuel * hook_fuel_scale) ~buf:buf_aot with
-      | Error crash -> violation "totality-exec" "AOT recorded run crashed: %s" crash
-      | Ok aot ->
-        if engine_bug aot.outcome then
-          violation "engine-bug" "AOT recorded run: %s" (string_of_outcome aot.outcome)
-        else if is_out_of_fuel aot.outcome then Skip "instrumented-exhausted"
-        else begin
-          let mid = max 1 (steps / 2) in
-          let variant, vname =
-            match index mod 4 with
-            | 0 -> (P_plain, "attach-all")
-            | 1 -> (P_tiered, "tiered attach-all")
-            | 2 -> (P_attach_mid mid, "tiered mid-run attach")
-            | _ -> (P_detach_mid mid, "mid-run detach")
-          in
-          let buf_p = Buffer.create 1024 in
-          match run_probed m ~fuel:base_fuel ~variant ~buf:buf_p with
-          | Error crash -> violation "totality-exec" "probed run (%s) crashed: %s" vname crash
-          | Ok probed ->
-            if engine_bug probed.outcome then
-              violation "engine-bug" "probed run (%s): %s" vname
-                (string_of_outcome probed.outcome)
-            else begin
-              match compare_runs ~kind:"probe-parity" ~left:"plain" ~right:vname base probed with
-              | Pass ->
-                let sa = Buffer.contents buf_aot and sp = Buffer.contents buf_p in
-                (match variant with
-                 | P_plain | P_tiered ->
-                   if String.equal sa sp then Pass
-                   else
-                     violation "probe-parity" "hook-event streams diverged (%s): %s" vname
-                       (first_stream_diff sa sp)
-                 | P_attach_mid _ | P_detach_mid _ ->
-                   (match subsequence_failure ~sub:sp ~of_:sa with
-                    | None -> Pass
-                    | Some (i, line) ->
-                      violation "probe-parity"
-                        "probe event %d (%s) absent from the AOT stream in order: %S" i vname
-                        line))
-              | v -> v
-            end
-        end
+      (* the AOT recorded run for [groups]; [k] checks its stream *)
+      let with_aot ?groups k =
+        let buf_aot = Buffer.create 1024 in
+        match run_recorded_aot ?groups m ~fuel:(base_fuel * hook_fuel_scale) ~buf:buf_aot with
+        | Error crash -> violation "totality-exec" "AOT recorded run crashed: %s" crash
+        | Ok aot ->
+          if engine_bug aot.outcome then
+            violation "engine-bug" "AOT recorded run: %s" (string_of_outcome aot.outcome)
+          else if is_out_of_fuel aot.outcome then Skip "instrumented-exhausted"
+          else k (Buffer.contents buf_aot)
+      in
+      (* one probed run against the plain run and the AOT stream [sa] *)
+      let check_probed ~variant ~vname sa =
+        let buf_p = Buffer.create 1024 in
+        match run_probed m ~fuel:base_fuel ~variant ~buf:buf_p with
+        | Error crash -> violation "totality-exec" "probed run (%s) crashed: %s" vname crash
+        | Ok probed ->
+          if engine_bug probed.outcome then
+            violation "engine-bug" "probed run (%s): %s" vname
+              (string_of_outcome probed.outcome)
+          else begin
+            match compare_runs ~kind:"probe-parity" ~left:"plain" ~right:vname base probed with
+            | Pass ->
+              let sp = Buffer.contents buf_p in
+              (match variant with
+               | P_plain | P_tiered | P_sparse _ ->
+                 if String.equal sa sp then Pass
+                 else
+                   violation "probe-parity" "hook-event streams diverged (%s): %s" vname
+                     (first_stream_diff sa sp)
+               | P_attach_mid _ | P_detach_mid _ ->
+                 (match subsequence_failure ~sub:sp ~of_:sa with
+                  | None -> Pass
+                  | Some (i, line) ->
+                    violation "probe-parity"
+                      "probe event %d (%s) absent from the AOT stream in order: %S" i vname
+                      line))
+            | v -> v
+          end
+      in
+      let mid = max 1 (steps / 2) in
+      let variant, vname =
+        match index mod 4 with
+        | 0 -> (P_plain, "attach-all")
+        | 1 -> (P_tiered, "tiered attach-all")
+        | 2 -> (P_attach_mid mid, "tiered mid-run attach")
+        | _ -> (P_detach_mid mid, "mid-run detach")
+      in
+      match with_aot (check_probed ~variant ~vname) with
+      | Pass ->
+        let groups = sparse_groups ~seed ~index in
+        let vname =
+          "sparse " ^ String.concat "," (List.map Wasabi.Hook.group_name groups)
+        in
+        with_aot ~groups:(Wasabi.Hook.of_list groups)
+          (check_probed ~variant:(P_sparse groups) ~vname)
+      | v -> v
     end
 
 (** Execution totality for an arbitrary valid module (mutation pipeline):

@@ -94,7 +94,7 @@ val absint_soundness : Gen.info -> verdict
     and exported globals. [Skip] when the base run exhausts its fuel or
     an instrumented run does. *)
 
-val probe_parity : index:int -> Gen.info -> verdict
+val probe_parity : ?seed:int -> index:int -> Gen.info -> verdict
 (** The engine-probe vs AOT-rewrite differential. Runs the module
     plain, AOT-instrumented with a recording analysis, and with engine
     probes delivering to the same recording analysis. The probed run's
@@ -105,8 +105,11 @@ val probe_parity : index:int -> Gen.info -> verdict
     [index mod 4] selects the variant: full attach on tier 0, full
     attach with the tier-1 compiler forced on (attach-deopt), tiered
     mid-run attach (step trigger at half the plain run's step count),
-    mid-run detach. [Skip] when the base or the AOT run exhausts its
-    fuel. *)
+    mid-run detach. Every case then also runs a sparse variant: one to
+    three hook groups drawn from [(seed, index)] (default [seed] 0),
+    attached for the whole run, whose stream must be byte-identical to
+    the AOT rewrite's for the same groups. [Skip] when the base or the
+    AOT run exhausts its fuel. *)
 
 val execution_total : Wasm.Ast.module_ -> verdict
 (** Execution totality for an arbitrary valid module (mutation

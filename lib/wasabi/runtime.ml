@@ -19,8 +19,7 @@
       list allocation or map lookup;
     - {b reference}: the original interpretive [take_*]-chain over an
       argument list, kept as the debug path and as the oracle for the
-      differential decoder tests. Selected with [~decoder:`Reference] or
-      by setting the [WASABI_REFERENCE_DECODER] environment variable.
+      differential decoder tests. Selected with [~decoder:`Reference].
 
     Both paths must produce identical high-level hook invocations;
     [test/test_decoders.ml] checks this across the whole corpus. *)
@@ -93,13 +92,7 @@ let with_mark mark (a : Analysis.t) : Analysis.t =
     start = (fun l -> mark_now mark; a.Analysis.start l);
   }
 
-let default_decoder () : decoder_kind =
-  match Sys.getenv_opt "WASABI_REFERENCE_DECODER" with
-  | Some s when s <> "" && s <> "0" -> `Reference
-  | _ -> `Compiled
-
-let create ?decoder ?sink (res : Instrument.result) (analysis : Analysis.t) : t =
-  let decoder = match decoder with Some d -> d | None -> default_decoder () in
+let create ?(decoder = `Compiled) ?sink (res : Instrument.result) (analysis : Analysis.t) : t =
   (* a sink interposes at the analysis boundary: hooks still decode
      their arguments as usual, but the decoded invocation is reified as
      an [Analysis.event] and handed to [sink] instead of running the
@@ -250,9 +243,9 @@ let dispatch_reference rt (a : Analysis.t) (spec : Hook.spec) : Value.t list -> 
       let idx, args = take_int args in
       done_ args;
       let info = Metadata.br_table_at rt.metadata loc in
-      let targets = Array.map fst info.Metadata.bt_targets in
-      let default = fst info.Metadata.bt_default in
-      a.br_table loc targets default idx;
+      if Hook.Group_set.mem Hook.G_br_table rt.metadata.Metadata.groups then
+        a.br_table loc (Array.map fst info.Metadata.bt_targets) (fst info.Metadata.bt_default)
+          idx;
       (* the blocks ended by the selected entry, known only at runtime *)
       if Hook.Group_set.mem Hook.G_end rt.metadata.Metadata.groups then begin
         (* the index is an unsigned i32: negative here means >= 2^31,
@@ -466,6 +459,8 @@ let compile rt (a : Analysis.t) (spec : Hook.spec) : Value.t array -> int -> uni
       a.br_if l { Metadata.label; target_loc = Location.make ~func:l.Location.func ~instr:target }
         cond
   | S_br_table ->
+    (* the hook also serves [end] alone: report only the selected groups *)
+    let want_bt = Hook.Group_set.mem Hook.G_br_table rt.metadata.Metadata.groups in
     let want_end = Hook.Group_set.mem Hook.G_end rt.metadata.Metadata.groups in
     let br_index = rt.br_index in
     fun args off ->
@@ -478,9 +473,8 @@ let compile rt (a : Analysis.t) (spec : Hook.spec) : Value.t array -> int -> uni
         | Some info -> info
         | None -> invalid_arg (Printf.sprintf "no br_table at %s" (Location.to_string l))
       in
-      let targets = Array.map fst info.Metadata.bt_targets in
-      let default = fst info.Metadata.bt_default in
-      a.br_table l targets default idx;
+      if want_bt then
+        a.br_table l (Array.map fst info.Metadata.bt_targets) (fst info.Metadata.bt_default) idx;
       if want_end then begin
         (* the index is an unsigned i32: negative here means >= 2^31,
            which is out of range and takes the default *)
@@ -753,8 +747,9 @@ let fork ?sink (rt : t) (analysis : Analysis.t) : Interp.instance * t =
 (** {1 The engine-probe backend}
 
     The second way to run an analysis: instead of rewriting the binary
-    ahead of time, probes are patched into the {e original} module's
-    pre-decoded instruction stream inside the engine ([Interp.probe_function]).
+    ahead of time, probes are spliced into the {e original} module's
+    pre-decoded instruction stream inside the engine
+    ([Interp.splice_probes], [Interp.probe_function]).
     No re-encode, no i64 splitting, no argument marshalling through wasm
     locals — event closures peek operands directly off the live operand
     stack and invoke the same {!Analysis.t} callbacks the AOT hook path
@@ -771,8 +766,8 @@ let fork ?sink (rt : t) (analysis : Analysis.t) : Interp.instance * t =
     effect at the next entry of each function (frames already on the
     stack finish on the code they entered with); detach silences the
     already-installed closures immediately via the entry's active flag.
-    Attaching deopts tier-1-compiled bodies back to the probed tier-0
-    loop; detaching lets them re-tier naturally. *)
+    Attaching deopts tier-1-compiled bodies back to tier 0; detaching
+    lets them re-tier naturally. *)
 module Probe = struct
   open Wasm.Interp
   open Wasm.Ast
@@ -795,7 +790,6 @@ module Probe = struct
     mutable pc_indirect : int array;  (** per-table-slot callee resolution *)
     pc_n_imp : int;  (** imported functions: defined j ↔ index n_imp + j *)
     pc_start : int option;
-    pc_xbodies : xinstr array option array;  (** unfused re-decodes, cached *)
   }
 
   let target_instr (e : pctrl) =
@@ -836,22 +830,15 @@ module Probe = struct
         end
       end
 
-  let xbody_of c j =
-    match c.pc_xbodies.(j) with
-    | Some x -> x
-    | None ->
-      let x = unfused_xbody c.pc_inst.inst_code.(j) in
-      c.pc_xbodies.(j) <- Some x;
-      x
-
   (** Build the probed body of defined function [j] from the currently
-      attached probe set: [None] when no active probe matches any event
-      site in the function. Every synthesized event closure is a gate
-      (the statically-matching probe entries' dynamic [should_fire])
-      around the analysis callback, wrapped — only while a profiler is
-      attached — in the ["hook.<group>"] / ["dispatch.probe"] /
-      ["dispatch.analysis"] timing split. *)
-  let build_hooks c ~(j : int) : probe_hooks option =
+      attached probe set ({!Wasm.Interp.splice_probes}): [None] when no
+      active probe matches any event site in the function. Every
+      synthesized event closure is a gate (the statically-matching probe
+      entries' dynamic [should_fire]) around the analysis callback,
+      wrapped — only while a profiler is attached — in the
+      ["hook.<group>"] / ["dispatch.probe"] / ["dispatch.analysis"]
+      timing split. *)
+  let build_hooks c ~(j : int) : probed_body option =
     let inst = c.pc_inst in
     let code = inst.inst_code.(j) in
     let fidx = c.pc_n_imp + j in
@@ -1197,13 +1184,10 @@ module Probe = struct
         | fs -> Some (fun locals -> List.iter (fun f -> f locals) fs)
       in
       Some
-        {
-          pp_body = xbody_of c j;
-          pp_pre = Array.map (fun fs -> compose (List.rev fs)) pre;
-          pp_post = Array.map (fun fs -> compose (List.rev fs)) post;
-          pp_enter = compose enter_evs;
-          pp_exit = exit_ev;
-        }
+        (splice_probes code ~enter:(compose enter_evs)
+           ~pre:(Array.map (fun fs -> compose (List.rev fs)) pre)
+           ~post:(Array.map (fun fs -> compose (List.rev fs)) post)
+           ~exit:exit_ev)
 
   (** Re-derive every probed body from the current probe set. Functions
       with at least one matching event site get a probed body (deopting
@@ -1237,7 +1221,6 @@ module Probe = struct
         pc_indirect = [||];
         pc_n_imp = num_imported_funcs inst.inst_module;
         pc_start = inst.inst_module.start;
-        pc_xbodies = Array.make (Array.length inst.inst_code) None;
       }
     in
     set_probes inst

@@ -9,8 +9,8 @@
     straight off the interpreter's operand stack (zero per-call list
     allocation, no map lookups); the original interpretive list-based
     decoder is kept as a debug/reference path, selected with
-    [~decoder:`Reference] or the [WASABI_REFERENCE_DECODER] environment
-    variable. Both paths produce identical high-level hook invocations. *)
+    [~decoder:`Reference]. Both paths produce identical high-level hook
+    invocations. *)
 
 type decoder_kind = [ `Compiled | `Reference ]
 
@@ -46,11 +46,10 @@ val create :
   ?decoder:decoder_kind ->
   ?sink:(Analysis.event -> unit) ->
   Instrument.result -> Analysis.t -> t
-(** [decoder] defaults to [`Compiled], or [`Reference] when the
-    [WASABI_REFERENCE_DECODER] environment variable is set non-empty.
-    When [sink] is given, hooks decode as usual but the decoded
-    invocation is reified as an {!Analysis.event} and handed to [sink]
-    instead of running the analysis callbacks inline — the async
+(** [decoder] defaults to [`Compiled]. When [sink] is given, hooks
+    decode as usual but the decoded invocation is reified as an
+    {!Analysis.event} and handed to [sink] instead of running the
+    analysis callbacks inline — the async
     dispatch seam used by the serve layer; the [analysis] argument is
     then only the consumer's to apply. *)
 

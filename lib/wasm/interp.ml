@@ -46,7 +46,11 @@ let link_error fmt = Printf.ksprintf (fun s -> raise (Link_error s)) fmt
     unchanged. Interior positions of a fused group hold {!XFusedTail} and
     are unreachable: fusion never spans a branch target. Fuel and step
     accounting are unaffected because both are batched per straight-line
-    run of the *original* instruction stream. *)
+    run of the *original* instruction stream.
+
+    A probed body ({!splice_probes}) additionally holds [XProbe] slots
+    between instructions; there indices are slots, not original
+    instruction indices. *)
 type xinstr =
   | XUnreachable
   | XNop
@@ -126,6 +130,9 @@ type xinstr =
   | XF64LoadScaled of int32 * int  (** same for [f64.load] *)
   | XI32LoadL of int * int  (** [local.get a; i32.load off] (2) *)
   | XF64LoadL of int * int  (** [local.get a; f64.load off] (2) *)
+  | XProbe of (Value.t array -> unit)
+      (** engine-probe slot: runs the closure on the frame's locals and
+          falls through; charges no fuel and no steps *)
   | XFusedTail
       (** interior of a fused group; unreachable (traps as an engine bug) *)
 
@@ -137,25 +144,19 @@ type stack = {
   mutable size : int;
 }
 
-(** Engine-probe instrumentation installed on one function body: a
-    re-decoded, {e unfused} copy of the instruction stream (so every
-    original instruction index is executed individually and can carry
-    hooks) plus per-slot pre/post event closures and frame enter/exit
-    events. Closures receive the frame's locals; everything else
-    (instance, operand stack, static site information) is baked in when
-    the probes are compiled. [None] in a slot costs one match. *)
-type probe_hooks = {
-  pp_body : xinstr array;
-      (** unfused re-decode of the body, same indexing as [c_xbody] *)
-  pp_pre : (Value.t array -> unit) option array;
-      (** fired before the slot's instruction executes *)
-  pp_post : (Value.t array -> unit) option array;
-      (** fired after the slot's instruction completes without trapping
-          and falls through; only installed on fall-through instructions *)
-  pp_enter : (Value.t array -> unit) option;  (** frame entry *)
-  pp_exit : (Value.t array -> unit) option;
-      (** implicit fall-off function exit only; explicit [return] and
-          branches to the function label fire their events via [pp_pre] *)
+(** A function body with engine probes spliced in ({!splice_probes}):
+    the same decoded and fused instruction stream as the plain body, with
+    [XProbe] slots around the instructions that carry events. The
+    dispatch loop runs it like any other body. *)
+type probed_body = {
+  pb_xbody : xinstr array;
+  pb_run_len : int array;
+      (** per executable slot, the original instructions from that slot
+          to the end of its straight-line run; shorter than [pb_xbody]
+          when the body ends in fall-off exit probes, which run uncharged *)
+  pb_site : int array;
+      (** per executable slot, the original index of the next instruction
+          (per-site profile counts stay keyed by original index) *)
 }
 
 (** Registration handle of a probe controller, so snapshot/restore can
@@ -229,11 +230,10 @@ and code = {
           the granularity of batched fuel accounting *)
   mutable c_tier : tier_state;
   mutable c_hot : int;  (** calls observed while still on tier 0 *)
-  mutable c_probe : probe_hooks option;
+  mutable c_probe : probed_body option;
       (** engine probes installed on this body; frames entered while set
-          run on the probed dispatch loop ([exec_probed]) regardless of
-          tier state, and tier-up is suspended. [None] costs one match
-          per call. *)
+          run the probed body on tier 0 regardless of tier state, and
+          tier-up is suspended. [None] costs one match per call. *)
 }
 
 (** A compiled (tier-1) function body. Called with the frame's locals;
@@ -308,10 +308,11 @@ let is_fault_exn = function
   | Value.Trap "injected host fault" -> true
   | _ -> false
 
+(* registered at module initialisation: a lazy first forced in two farm
+   worker domains at once can raise [CamlinternalLazy.Undefined] *)
 let deopt_total =
-  lazy
-    (Obs.Metrics.counter "wasabi_deopt_total"
-       ~help:"Compiled bodies deopted back to tier 0 after a governor violation or injected host fault")
+  Obs.Metrics.counter "wasabi_deopt_total"
+    ~help:"Compiled bodies deopted back to tier 0 after a governor violation or injected host fault"
 
 let func_type_of = function
   | Wasm_func (idx, inst) -> inst.inst_code.(idx).c_type
@@ -348,38 +349,20 @@ let compute_jumps (body : instr array) : jump_info =
 
 let bt_arity : block_type -> int = function None -> 0 | Some _ -> 1
 
-(** The end target of each [Else]: just past the [End] of its matching
-    [If]. Shared by {!prepare_code} and {!unfused_xbody}. *)
-let compute_else_end (body : instr array) (end_of : int array) : int array =
-  let n = Array.length body in
-  let else_end = Array.make (max n 1) 0 in
-  let open_blocks = ref [] in
-  for pc = 0 to n - 1 do
-    match body.(pc) with
-    | Block _ | Loop _ | If _ -> open_blocks := pc :: !open_blocks
-    | Else ->
-      (match !open_blocks with
-       | open_pc :: _ -> else_end.(pc) <- end_of.(open_pc) + 1
-       | [] -> ())
-    | End -> (match !open_blocks with _ :: rest -> open_blocks := rest | [] -> ())
-    | _ -> ()
-  done;
-  else_end
-
-(** Single-instruction decode: resolve operators and jump targets. Used
-    per-slot by {!prepare_code} (before fusion) and by {!unfused_xbody}
-    (the probed bodies, which skip fusion entirely). *)
-let decode_instr ~(end_of : int array) ~(else_of : int array)
-    ~(else_end : int array) ~(br_tables : int array array) pc (i : instr) : xinstr =
+(** Single-instruction decode: resolve operators, and jump targets
+    through [target] (the slot a branch to an original index lands on). *)
+let decode_instr ~(end_of : int array) ~(else_of : int array) ~(else_end : int array)
+    ~(br_tables : int array array) ~target pc (i : instr) : xinstr =
   match i with
   | Unreachable -> XUnreachable
   | Nop -> XNop
-  | Block bt -> XBlock (end_of.(pc) + 1, bt_arity bt)
+  | Block bt -> XBlock (target (end_of.(pc) + 1), bt_arity bt)
   | Loop _ -> XLoop
   | If bt ->
-    if else_of.(pc) >= 0 then XIfElse (else_of.(pc) + 1, end_of.(pc) + 1, bt_arity bt)
-    else XIf (end_of.(pc) + 1, bt_arity bt)
-  | Else -> XElse else_end.(pc)
+    if else_of.(pc) >= 0 then
+      XIfElse (target (else_of.(pc) + 1), target (end_of.(pc) + 1), bt_arity bt)
+    else XIf (target (end_of.(pc) + 1), bt_arity bt)
+  | Else -> XElse (target else_end.(pc))
   | End -> XEnd
   | Br k -> XBr k
   | BrIf k -> XBrIf k
@@ -423,52 +406,43 @@ let decode_instr ~(end_of : int array) ~(else_of : int array)
   | Convert I32TruncF64S -> XI32TruncF64S
   | Convert op -> XConvertGen op
 
-(** Pre-compute everything the dispatch loop needs about one function:
-    side tables, and the pre-decoded (operator-resolved, partially fused)
-    instruction array that execution actually runs over. *)
-let prepare_code (types : func_type array) (f : Ast.func) : code =
-  let body = Array.of_list f.body in
-  let jumps = compute_jumps body in
-  let end_of = jumps.end_of and else_of = jumps.else_of in
-  let ftype = types.(f.ftype) in
-  let nparams = List.length ftype.params in
-  let local_defaults = Array.of_list (List.map Value.default f.locals) in
+(** The decode-and-fuse pass behind both plain ({!prepare_code}) and
+    probed ({!splice_probes}) bodies. Original instruction [i] goes to
+    slot [slot i] of an [nslots]-slot array and jump targets resolve
+    through [target]. Short straight-line idioms are fused, longest
+    window first; a fused group covers no jump target and no [barrier]
+    except as its head, so its slots are contiguous. Slots no
+    instruction occupies are left [XNop]. *)
+let decode_body ~slot ~target ~barrier ~nslots (body : instr array) (jumps : jump_info)
+    (br_tables : int array array) : xinstr array =
   let n = Array.length body in
-  let br_tables = Array.make n [||] in
-  let run_len = Array.make n 1 in
-  for pc = n - 1 downto 0 do
-    match body.(pc) with
-    | BrTable (ls, d) ->
-      let tbl = Array.make (List.length ls + 1) d in
-      List.iteri (fun i k -> tbl.(i) <- k) ls;
-      br_tables.(pc) <- tbl
-    | If _ | Else | Br _ | BrIf _ | Return | Unreachable -> ()
-    | _ -> if pc < n - 1 then run_len.(pc) <- run_len.(pc + 1) + 1
-  done;
-  let else_end = compute_else_end body end_of in
+  let end_of = jumps.end_of and else_of = jumps.else_of in
   (* leaders: every position a jump can target (label targets and else
-     branches); a fused group must not contain one except as its head *)
+     branches); [else_end]: where falling off a then-branch continues *)
   let leader = Array.make (n + 1) false in
+  let else_end = Array.make n 0 in
   if n > 0 then leader.(0) <- true;
   for pc = 0 to n - 1 do
     match body.(pc) with
     | Block _ | If _ ->
       leader.(end_of.(pc) + 1) <- true;
-      if else_of.(pc) >= 0 then leader.(else_of.(pc) + 1) <- true
+      if else_of.(pc) >= 0 then begin
+        leader.(else_of.(pc) + 1) <- true;
+        else_end.(else_of.(pc)) <- end_of.(pc) + 1
+      end
     | Loop _ ->
       leader.(pc + 1) <- true;
       leader.(end_of.(pc) + 1) <- true
     | _ -> ()
   done;
-  let decode1 pc i = decode_instr ~end_of ~else_of ~else_end ~br_tables pc i in
-  (* fusion: longest window first; interior positions must not be leaders *)
-  let xbody = Array.make n XNop in
+  let decode1 pc i = decode_instr ~end_of ~else_of ~else_end ~br_tables ~target pc i in
+  let xbody = Array.make nslots XNop in
   let fusible p len =
     p + len <= n
     &&
     let ok = ref true in
     for q = p + 1 to p + len - 1 do
-      if leader.(q) then ok := false
+      if leader.(q) || barrier q then ok := false
     done;
     !ok
   in
@@ -534,13 +508,40 @@ let prepare_code (types : func_type array) (f : Ast.func) : code =
     in
     (match fused with
      | Some x ->
-       xbody.(p) <- x;
-       for q = p + 1 to p + len - 1 do
-         xbody.(q) <- XFusedTail
+       xbody.(slot p) <- x;
+       for d = 1 to len - 1 do
+         xbody.(slot p + d) <- XFusedTail
        done
-     | None -> xbody.(p) <- decode1 p body.(p));
+     | None -> xbody.(slot p) <- decode1 p body.(p));
     pc := p + len
   done;
+  xbody
+
+(** Pre-compute everything the dispatch loop needs about one function:
+    side tables, and the pre-decoded (operator-resolved, partially fused)
+    instruction array that execution actually runs over. *)
+let prepare_code (types : func_type array) (f : Ast.func) : code =
+  let body = Array.of_list f.body in
+  let jumps = compute_jumps body in
+  let ftype = types.(f.ftype) in
+  let nparams = List.length ftype.params in
+  let local_defaults = Array.of_list (List.map Value.default f.locals) in
+  let n = Array.length body in
+  let br_tables = Array.make n [||] in
+  let run_len = Array.make n 1 in
+  for pc = n - 1 downto 0 do
+    match body.(pc) with
+    | BrTable (ls, d) ->
+      let tbl = Array.make (List.length ls + 1) d in
+      List.iteri (fun i k -> tbl.(i) <- k) ls;
+      br_tables.(pc) <- tbl
+    | If _ | Else | Br _ | BrIf _ | Return | Unreachable -> ()
+    | _ -> if pc < n - 1 then run_len.(pc) <- run_len.(pc + 1) + 1
+  done;
+  let xbody =
+    decode_body ~slot:Fun.id ~target:Fun.id ~barrier:(fun _ -> false) ~nslots:n body jumps
+      br_tables
+  in
   {
     c_func = f;
     c_type = ftype;
@@ -558,18 +559,51 @@ let prepare_code (types : func_type array) (f : Ast.func) : code =
     c_probe = None;
   }
 
-(** Re-decode one function body without superinstruction fusion: every
-    original instruction index holds its own executable slot, so the
-    probed dispatch loop can fire per-instruction events at exact code
-    locations. Fuel/step accounting is unaffected (it is batched over
-    [c_run_len], which fusion never changes). *)
-let unfused_xbody (code : code) : xinstr array =
+(** Splice engine probes into [code]'s body: [enter] fires on frame
+    entry, [pre.(i)] before original instruction [i], [post.(i)] after
+    [i] completes and falls through, [exit] on the fall-off function
+    exit. The slots are [enter], then [pre.(i)] [i] [post.(i)] for each
+    instruction, then [exit]. A branch to [i] lands on [pre.(i)], so a
+    loop-head probe fires on every back edge; only a fall-through from
+    [i] reaches [post.(i)]. Probe sites are fusion barriers, so fused
+    superinstructions survive between them. A loop's label is the slot
+    after it, so a loop takes no post probe. *)
+let splice_probes (code : code) ~enter ~pre ~post ~exit : probed_body =
   let body = code.c_body in
-  let end_of = code.c_jumps.end_of and else_of = code.c_jumps.else_of in
-  let else_end = compute_else_end body end_of in
-  Array.mapi
-    (decode_instr ~end_of ~else_of ~else_end ~br_tables:code.c_br_tables)
-    body
+  let n = Array.length body in
+  let has = Option.is_some in
+  (* [landing.(i)]: where a branch to original index [i] lands *)
+  let landing = Array.make (n + 1) 0 in
+  let next = ref (Bool.to_int (has enter)) in
+  for i = 0 to n - 1 do
+    (match body.(i), post.(i) with
+     | Loop _, Some _ -> invalid_arg "Interp.splice_probes: post probe on a loop"
+     | _ -> ());
+    landing.(i) <- !next;
+    next := !next + 1 + Bool.to_int (has pre.(i)) + Bool.to_int (has post.(i))
+  done;
+  landing.(n) <- !next;
+  let slot i = landing.(i) + Bool.to_int (has pre.(i)) in
+  let xbody =
+    decode_body ~slot ~target:(Array.get landing)
+      ~barrier:(fun i -> has pre.(i) || has post.(i - 1))
+      ~nslots:(!next + Bool.to_int (has exit))
+      body code.c_jumps code.c_br_tables
+  in
+  let put s = Option.iter (fun f -> xbody.(s) <- XProbe f) in
+  put 0 enter;
+  for i = 0 to n - 1 do
+    put landing.(i) pre.(i);
+    put (slot i + 1) post.(i)
+  done;
+  put landing.(n) exit;
+  (* the executable slots end with the last instruction: its post probe
+     and the exit probe run on the uncharged fall-off path *)
+  let site = Array.make (if n = 0 then 0 else slot (n - 1) + 1) 0 in
+  for i = 1 to n - 1 do
+    Array.fill site (slot (i - 1) + 1) (slot i - slot (i - 1)) i
+  done;
+  { pb_xbody = xbody; pb_run_len = Array.map (Array.get code.c_run_len) site; pb_site = site }
 
 (** {1 Execution} *)
 
@@ -681,11 +715,11 @@ and call_wasm (cinst : instance) (idx : int) (from_st : stack) : unit =
     every future call. *)
 and enter_body cinst (idx : int) (code : code) (locals : Value.t array) : unit =
   match code.c_probe with
-  | Some ph ->
-    (* engine probes force interpretation: the frame runs on the probed
-       dispatch loop regardless of tier state, and tier-up counting is
+  | Some pb ->
+    (* engine probes force interpretation: the frame runs the probed
+       body on tier 0 regardless of tier state, and tier-up counting is
        suspended until the probes are detached *)
-    exec_probed cinst idx code ph locals
+    exec_body cinst idx code pb.pb_xbody pb.pb_run_len pb.pb_site locals
   | None ->
   match code.c_tier with
   | T_compiled f when not cinst.inst_deopt_on_fault ->
@@ -701,17 +735,17 @@ and enter_body cinst (idx : int) (code : code) (locals : Value.t array) : unit =
        | Some p -> Obs.Profile.time p "tier.execute" (fun () -> f cinst locals)
      with e when is_fault_exn e ->
        code.c_tier <- T_unsupported;
-       Obs.Metrics.inc (Lazy.force deopt_total);
+       Obs.Metrics.inc deopt_total;
        (match cinst.inst_prof with None -> () | Some p -> Obs.Profile.count p "tier.deopt");
        raise e)
-  | T_unsupported -> exec_body cinst idx code locals
+  | T_unsupported -> exec_body cinst idx code code.c_xbody code.c_run_len [||] locals
   | T_interp ->
     (match cinst.inst_tier with
-     | None -> exec_body cinst idx code locals
+     | None -> exec_body cinst idx code code.c_xbody code.c_run_len [||] locals
      | Some tp ->
        let hot = code.c_hot + 1 in
        code.c_hot <- hot;
-       if hot < tp.tp_threshold then exec_body cinst idx code locals
+       if hot < tp.tp_threshold then exec_body cinst idx code code.c_xbody code.c_run_len [||] locals
        else begin
          let compiled =
            match cinst.inst_prof with
@@ -731,7 +765,7 @@ and enter_body cinst (idx : int) (code : code) (locals : Value.t array) : unit =
            (match cinst.inst_prof with
             | None -> ()
             | Some p -> Obs.Profile.count p "tier.unsupported");
-           exec_body cinst idx code locals
+           exec_body cinst idx code code.c_xbody code.c_run_len [||] locals
        end)
 
 (* The arguments are handed to the host function in place: the stack is
@@ -749,12 +783,14 @@ and call_host (inst : instance) (h : host_func) (st : stack) : unit =
   | [] -> ()
   | results -> List.iter (push st) results
 
-(** Run [code] with the operand base at the current stack size; on normal
-    exit exactly [c_arity] results sit at that base. *)
-and exec_body inst (fid : int) (code : code) (locals : Value.t array) : unit =
-  let xbody = code.c_xbody in
-  let run_len = code.c_run_len in
-  let n = Array.length xbody in
+(** The dispatch loop. Runs [xbody] — [code]'s plain body, or its probed
+    body — with the operand base at the current stack size; on normal
+    exit exactly [c_arity] results sit at that base. [run_len] covers
+    the executable slots, and [site] maps them to original instruction
+    indices for the profiler ([[||]]: the identity). *)
+and exec_body inst (fid : int) (code : code) (xbody : xinstr array) (run_len : int array)
+    (site : int array) (locals : Value.t array) : unit =
+  let n = Array.length run_len in
   let arity = code.c_arity in
   let st = inst.inst_stack in
   let base = st.size in
@@ -801,9 +837,14 @@ and exec_body inst (fid : int) (code : code) (locals : Value.t array) : unit =
     end
   in
   while !running do
-    if !pc >= n then
-      (* implicit end of the function body *)
+    if !pc >= n then begin
+      (* implicit end of the function body; a probed body's fall-off
+         probes follow its executable slots *)
+      for s = !pc to Array.length xbody - 1 do
+        match Array.unsafe_get xbody s with XProbe f -> f locals | _ -> ()
+      done;
       ret ()
+    end
     else begin
       if !pc >= !charged_upto then begin
         if inst.fuel <= 0 then raise (Exhaustion "out of fuel");
@@ -814,13 +855,21 @@ and exec_body inst (fid : int) (code : code) (locals : Value.t array) : unit =
         charged_upto := !pc + k;
         (match inst.inst_prof with
          | None -> ()
-         | Some p -> Obs.Profile.bump_run p ~fid ~body_len:n ~pc:!pc ~len:k);
+         | Some p ->
+           let at = if Array.length site = 0 then !pc else site.(!pc) in
+           Obs.Profile.bump_run p ~fid ~body_len:(Array.length code.c_run_len) ~pc:at ~len:k);
         match inst.inst_triggers with
         | [] -> ()
         | _ -> fire_triggers inst
       end;
       match Array.unsafe_get xbody !pc with
       | XNop -> incr pc
+      | XProbe f ->
+        (* a probe slot is not an instruction: it extends the charged
+           run by one slot instead of consuming fuel *)
+        f locals;
+        incr pc;
+        charged_upto := !charged_upto + 1
       | XUnreachable -> raise (Value.Trap "unreachable executed")
       | XBlock (target, larity) ->
         push_label target st.size larity 0;
@@ -1114,314 +1163,6 @@ and exec_body inst (fid : int) (code : code) (locals : Value.t array) : unit =
     end
   done
 
-(** The probed dispatch loop: a cold copy of {!exec_body} over the
-    unfused [pp_body], with per-slot pre/post event closures and frame
-    enter/exit events. Kept separate so the uninstrumented hot loop pays
-    {e nothing} for the probe machinery (one [c_probe] match per call in
-    {!enter_body} is the entire attach cost when no probes are set).
-    Semantic equality with {!exec_body} — outcome, trap identity, fuel
-    cut-off, final memory/globals — is enforced by the probe-parity
-    differential fuzz oracle.
-
-    Pre events fire before the slot's instruction, post events after it
-    completes without trapping; post closures are only installed on
-    fall-through instructions, so a taken branch never fires one. *)
-and exec_probed inst (fid : int) (code : code) (ph : probe_hooks)
-    (locals : Value.t array) : unit =
-  let xbody = ph.pp_body in
-  let pre = ph.pp_pre and post = ph.pp_post in
-  let run_len = code.c_run_len in
-  let n = Array.length xbody in
-  let arity = code.c_arity in
-  let st = inst.inst_stack in
-  let base = st.size in
-  let lbl = Array.make (4 * code.c_jumps.max_depth) 0 in
-  let nlbl = ref 0 in
-  let pc = ref 0 in
-  let running = ref true in
-  let charged_upto = ref 0 in
-  let mem = inst.inst_memory in
-  let memory () =
-    match mem with Some m -> m | None -> raise (Value.Trap "no memory")
-  in
-  let ret () =
-    if st.size - arity < base then
-      raise (Value.Trap "value stack underflow (engine bug)");
-    Array.blit st.data (st.size - arity) st.data base arity;
-    st.size <- base + arity;
-    running := false
-  in
-  let push_label target height larity is_loop =
-    let o = 4 * !nlbl in
-    lbl.(o) <- target;
-    lbl.(o + 1) <- height;
-    lbl.(o + 2) <- larity;
-    lbl.(o + 3) <- is_loop;
-    incr nlbl
-  in
-  let branch k =
-    if k >= !nlbl then ret ()
-    else begin
-      let o = 4 * (!nlbl - 1 - k) in
-      let height = lbl.(o + 1) and larity = lbl.(o + 2) in
-      Array.blit st.data (st.size - larity) st.data height larity;
-      st.size <- height + larity;
-      nlbl := !nlbl - k - 1 + lbl.(o + 3);
-      pc := lbl.(o);
-      charged_upto := 0
-    end
-  in
-  (match ph.pp_enter with None -> () | Some f -> f locals);
-  while !running do
-    if !pc >= n then begin
-      (* implicit end of the function body: the only place the
-         fall-off function-exit event fires (explicit [return] and
-         branches to the function label fire theirs via [pp_pre]) *)
-      (match ph.pp_exit with None -> () | Some f -> f locals);
-      ret ()
-    end
-    else begin
-      if !pc >= !charged_upto then begin
-        if inst.fuel <= 0 then raise (Exhaustion "out of fuel");
-        (match inst.inst_gov with None -> () | Some g -> Governor.check_batch g);
-        let k = Array.unsafe_get run_len !pc in
-        inst.steps <- inst.steps + k;
-        inst.fuel <- inst.fuel - k;
-        charged_upto := !pc + k;
-        (match inst.inst_prof with
-         | None -> ()
-         | Some p -> Obs.Profile.bump_run p ~fid ~body_len:n ~pc:!pc ~len:k);
-        match inst.inst_triggers with
-        | [] -> ()
-        | _ -> fire_triggers inst
-      end;
-      let at = !pc in
-      (match Array.unsafe_get pre at with None -> () | Some f -> f locals);
-      (match Array.unsafe_get xbody at with
-       | XNop -> incr pc
-       | XUnreachable -> raise (Value.Trap "unreachable executed")
-       | XBlock (target, larity) ->
-         push_label target st.size larity 0;
-         incr pc
-       | XLoop ->
-         push_label (!pc + 1) st.size 0 1;
-         incr pc
-       | XIf (end_target, larity) ->
-         let cond = pop_i32 st in
-         if not (Int32.equal cond 0l) then begin
-           push_label end_target st.size larity 0;
-           incr pc
-         end
-         else begin
-           pc := end_target;
-           charged_upto := 0
-         end
-       | XIfElse (else_target, end_target, larity) ->
-         let cond = pop_i32 st in
-         push_label end_target st.size larity 0;
-         if not (Int32.equal cond 0l) then incr pc
-         else begin
-           pc := else_target;
-           charged_upto := 0
-         end
-       | XElse end_target ->
-         if !nlbl = 0 then raise (Value.Trap "else without label (engine bug)");
-         decr nlbl;
-         pc := end_target;
-         charged_upto := 0
-       | XEnd ->
-         if !nlbl = 0 then raise (Value.Trap "end without label (engine bug)");
-         decr nlbl;
-         incr pc
-       | XBr k -> branch k
-       | XBrIf k ->
-         let cond = pop_i32 st in
-         if Int32.equal cond 0l then incr pc else branch k
-       | XBrTable tbl ->
-         let idx32 = pop_i32 st in
-         let idx = Int64.to_int (Int64.logand (Int64.of_int32 idx32) 0xFFFFFFFFL) in
-         let last = Array.length tbl - 1 in
-         branch (if idx < last then tbl.(idx) else tbl.(last))
-       | XReturn -> ret ()
-       | XCall fidx ->
-         (match inst.inst_funcs.(fidx) with
-          | Wasm_func (j, ci) -> call_wasm ci j st
-          | Host_func h -> call_host inst h st);
-         incr pc
-       | XCallIndirect tidx ->
-         let expected = inst.inst_types.(tidx) in
-         let i = pop_i32 st in
-         let table =
-           match inst.inst_table with
-           | Some t -> t
-           | None -> raise (Value.Trap "no table")
-         in
-         let i = Int64.to_int (Int64.logand (Int64.of_int32 i) 0xFFFFFFFFL) in
-         if i >= Array.length table.t_elems then
-           raise (Value.Trap "undefined element");
-         (match table.t_elems.(i) with
-          | None -> raise (Value.Trap "uninitialized element")
-          | Some callee ->
-            if not (equal_func_type (func_type_of callee) expected) then
-              raise (Value.Trap "indirect call type mismatch");
-            (match callee with
-             | Wasm_func (j, ci) -> call_wasm ci j st
-             | Host_func h -> call_host inst h st));
-         incr pc
-       | XDrop ->
-         ignore (pop st);
-         incr pc
-       | XSelect ->
-         let cond = pop_i32 st in
-         let b = pop st in
-         let a = pop st in
-         push st (if Int32.equal cond 0l then b else a);
-         incr pc
-       | XLocalGet x ->
-         push st locals.(x);
-         incr pc
-       | XLocalSet x ->
-         locals.(x) <- pop st;
-         incr pc
-       | XLocalTee x ->
-         if st.size = 0 then raise (Value.Trap "stack underflow (engine bug)");
-         locals.(x) <- st.data.(st.size - 1);
-         incr pc
-       | XGlobalGet x ->
-         push st inst.inst_globals.(x).g_value;
-         incr pc
-       | XGlobalSet x ->
-         inst.inst_globals.(x).g_value <- pop st;
-         incr pc
-       | XConst v ->
-         push st v;
-         incr pc
-       | XI32Load off ->
-         push st (Value.I32 (Memory.load_i32 (memory ()) (pop_i32 st) off));
-         incr pc
-       | XI64Load off ->
-         push st (Value.I64 (Memory.load_i64 (memory ()) (pop_i32 st) off));
-         incr pc
-       | XF32Load off ->
-         push st (Value.F32 (Memory.load_f32_bits (memory ()) (pop_i32 st) off));
-         incr pc
-       | XF64Load off ->
-         push st (Value.F64 (Memory.load_f64 (memory ()) (pop_i32 st) off));
-         incr pc
-       | XI32Store off ->
-         let v = pop_i32 st in
-         let addr = pop_i32 st in
-         Memory.store_i32 (memory ()) addr off v;
-         incr pc
-       | XI64Store off ->
-         let v = Value.as_i64 (pop st) in
-         let addr = pop_i32 st in
-         Memory.store_i64 (memory ()) addr off v;
-         incr pc
-       | XF32Store off ->
-         let v = Value.as_f32_bits (pop st) in
-         let addr = pop_i32 st in
-         Memory.store_f32_bits (memory ()) addr off v;
-         incr pc
-       | XF64Store off ->
-         let v = Value.as_f64 (pop st) in
-         let addr = pop_i32 st in
-         Memory.store_f64 (memory ()) addr off v;
-         incr pc
-       | XLoadGen op ->
-         let addr = pop_i32 st in
-         push st (Memory.load (memory ()) op addr);
-         incr pc
-       | XStoreGen op ->
-         let v = pop st in
-         let addr = pop_i32 st in
-         Memory.store (memory ()) op addr v;
-         incr pc
-       | XMemorySize ->
-         push st (Value.i32_of_int (Memory.size_pages (memory ())));
-         incr pc
-       | XMemoryGrow ->
-         let delta = Int32.to_int (pop_i32 st) in
-         let old =
-           match inst.inst_gov with
-           | None -> Memory.grow (memory ()) delta
-           | Some g -> Governor.governed_grow g (memory ()) delta
-         in
-         push st (Value.i32_of_int old);
-         incr pc
-       | XI32Eqz ->
-         push st (Value.i32_of_bool (Int32.equal (pop_i32 st) 0l));
-         incr pc
-       | XI32Bin op ->
-         let b = pop_i32 st in
-         let a = pop_i32 st in
-         push st (Value.I32 (Eval_numeric.ibinop_i32 op a b));
-         incr pc
-       | XI32Rel r ->
-         let b = pop_i32 st in
-         let a = pop_i32 st in
-         push st (Value.i32_of_bool (Eval_numeric.irelop_impl_i32 r a b));
-         incr pc
-       | XI64Bin op ->
-         let b = Value.as_i64 (pop st) in
-         let a = Value.as_i64 (pop st) in
-         push st (Value.I64 (Eval_numeric.ibinop_i64 op a b));
-         incr pc
-       | XI64Rel r ->
-         let b = Value.as_i64 (pop st) in
-         let a = Value.as_i64 (pop st) in
-         push st (Value.i32_of_bool (Eval_numeric.irelop_impl_i64 r a b));
-         incr pc
-       | XF64Bin op ->
-         let b = Value.as_f64 (pop st) in
-         let a = Value.as_f64 (pop st) in
-         push st (Value.F64 (Eval_numeric.fbinop_impl op a b));
-         incr pc
-       | XF64Rel r ->
-         let b = Value.as_f64 (pop st) in
-         let a = Value.as_f64 (pop st) in
-         push st (Value.i32_of_bool (Eval_numeric.frelop_impl r a b));
-         incr pc
-       | XF64Un u ->
-         push st (Value.F64 (Eval_numeric.funop_impl u (Value.as_f64 (pop st))));
-         incr pc
-       | XF64ConvertI32S ->
-         push st (Value.F64 (Int32.to_float (pop_i32 st)));
-         incr pc
-       | XI32TruncF64S ->
-         push st (Value.I32 (Value.Cvt.i32_trunc_s (Value.as_f64 (pop st))));
-         incr pc
-       | XTestGen op ->
-         let v = pop st in
-         push st (Eval_numeric.eval_testop op v);
-         incr pc
-       | XCompareGen op ->
-         let b = pop st in
-         let a = pop st in
-         push st (Eval_numeric.eval_relop op a b);
-         incr pc
-       | XUnaryGen op ->
-         let v = pop st in
-         push st (Eval_numeric.eval_unop op v);
-         incr pc
-       | XBinaryGen op ->
-         let b = pop st in
-         let a = pop st in
-         push st (Eval_numeric.eval_binop op a b);
-         incr pc
-       | XConvertGen op ->
-         let v = pop st in
-         push st (Eval_numeric.eval_cvtop op v);
-         incr pc
-       | XI32BinLL _ | XI32BinLC _ | XI32BinSL _ | XI32BinSC _ | XF64BinLL _
-       | XF64BinSL _ | XF64BinSC _ | XIncrL _ | XBrIfRelLL _ | XBrIfRelLC _
-       | XBrIfRel _ | XBrIfEqz _ | XI32LoadScaled _ | XF64LoadScaled _
-       | XI32LoadL _ | XF64LoadL _ | XFusedTail ->
-         raise (Value.Trap "fused instruction in probed body (engine bug)"));
-      match Array.unsafe_get post at with None -> () | Some f -> f locals
-    end
-  done
-
 (** {1 Instantiation} *)
 
 (** Import resolution: maps (module name, item name) to an extern. *)
@@ -1678,13 +1419,13 @@ let set_tier inst policy =
 
 (** Install a probed body on defined function [j]. The function deopts:
     any compiled tier-1 closure is discarded and tier-up counting is
-    suspended (the probed dispatch loop runs instead) until
+    suspended (the probed body runs on tier 0 instead) until
     {!unprobe_function}. Takes effect at the next entry into the
     function; frames already on the stack finish on the code they
     entered with. *)
-let probe_function inst j (ph : probe_hooks) =
+let probe_function inst j (pb : probed_body) =
   let c = inst.inst_code.(j) in
-  c.c_probe <- Some ph;
+  c.c_probe <- Some pb;
   c.c_tier <- T_interp;
   c.c_hot <- 0
 
@@ -1698,7 +1439,7 @@ let unprobe_function inst j =
 
 (** Register [f] to run once when [inst.steps] first reaches [at].
     Triggers are checked at batch charge boundaries on every tier
-    (tier 0, probed tier 0 and tier-1 prologues), so they fire within
+    (tier 0, plain or probed, and tier-1 prologues), so they fire within
     one basic block of the requested step count. *)
 let add_step_trigger inst ~at f =
   let rec ins = function

@@ -31,7 +31,9 @@ type stack = {
     indexing is preserved: a fused opcode sits at the index of its first
     original instruction and advances the program counter by the group
     length, and the interior slots hold [XFusedTail] (unreachable —
-    fusion never spans a branch target). *)
+    fusion never spans a branch target). A probed body
+    ({!splice_probes}) also holds [XProbe] slots, so its indices are
+    slots rather than original instruction indices. *)
 type xinstr =
   | XUnreachable
   | XNop
@@ -106,26 +108,24 @@ type xinstr =
   | XF64LoadScaled of int32 * int  (** same for [f64.load] *)
   | XI32LoadL of int * int  (** [local.get a; i32.load off] (2) *)
   | XF64LoadL of int * int  (** [local.get a; f64.load off] (2) *)
+  | XProbe of (Value.t array -> unit)
+      (** engine-probe slot: runs the closure on the frame's locals and
+          falls through; charges no fuel and no steps *)
   | XFusedTail  (** interior of a fused group; unreachable *)
 
-(** The hooked variant of a function body that the engine-probe backend
-    installs: an {e unfused} re-decode of the body (same indexing as the
-    original instruction stream, no superinstructions — every original
-    instruction is its own slot) plus per-slot event closures. Each
-    closure receives the frame's locals; operands are peeked directly
-    off the instance stack. [pp_pre] closures run before their slot's
-    instruction; [pp_post] closures run after it completes without
-    trapping and are only installed on fall-through instructions (a
-    taken branch never reaches one). [pp_enter] runs on frame entry,
-    [pp_exit] only on the implicit fall-off-the-end function exit
-    (explicit [return]s and branches to the function label report theirs
-    through [pp_pre]). *)
-type probe_hooks = {
-  pp_body : xinstr array;
-  pp_pre : (Value.t array -> unit) option array;
-  pp_post : (Value.t array -> unit) option array;
-  pp_enter : (Value.t array -> unit) option;
-  pp_exit : (Value.t array -> unit) option;
+(** A function body with engine probes spliced in, built by
+    {!splice_probes}: the plain body's decoded and fused instruction
+    stream with [XProbe] slots around the instructions that carry
+    events. The one dispatch loop runs it like a plain body. *)
+type probed_body = {
+  pb_xbody : xinstr array;
+  pb_run_len : int array;
+      (** per executable slot, the original instructions from that slot
+          to the end of its straight-line run; shorter than [pb_xbody]
+          when the body ends in fall-off exit probes, which run uncharged *)
+  pb_site : int array;
+      (** per executable slot, the original index of the next instruction
+          (the key of per-site profile counts) *)
 }
 
 (** The snapshot-facing view of an attached probe controller (see
@@ -201,10 +201,9 @@ and code = {
       (** instructions from pc to the next control transfer, inclusive *)
   mutable c_tier : tier_state;
   mutable c_hot : int;  (** calls observed while still on tier 0 *)
-  mutable c_probe : probe_hooks option;
-      (** when set, the function runs on the probed dispatch loop over
-          [pp_body] (engine-probe backend); tier state is ignored until
-          the probe is removed *)
+  mutable c_probe : probed_body option;
+      (** when set, frames run this probed body on tier 0 (engine-probe
+          backend); tier state is ignored until the probe is removed *)
 }
 
 (** A compiled (tier-1) function body: called with the frame's locals,
@@ -323,14 +322,25 @@ val is_fault_exn : exn -> bool
 (** Environmental unwinds — governor budget violations and injected
     host faults — as opposed to properties of the guest code itself. *)
 
-val unfused_xbody : code -> xinstr array
-(** Re-decode the function body {e without} superinstruction fusion:
-    every original instruction is its own slot, same indexing and
-    [c_run_len] batching as the fused [c_xbody]. This is the execution
-    stream probed bodies run on, so per-slot event closures line up
-    one-to-one with original instructions. *)
+val splice_probes :
+  code ->
+  enter:(Value.t array -> unit) option ->
+  pre:(Value.t array -> unit) option array ->
+  post:(Value.t array -> unit) option array ->
+  exit:(Value.t array -> unit) option ->
+  probed_body
+(** Splice engine probes into a function body. Each probe receives the
+    frame's locals; operands are peeked off the instance stack. [enter]
+    fires on frame entry, [pre.(i)] before original instruction [i],
+    [post.(i)] after [i] completes without trapping and falls through,
+    and [exit] on the implicit fall-off function exit only. A branch to
+    [i] lands on [pre.(i)], so a loop-head probe fires on every back
+    edge. The body comes from the same decode-and-fuse pass as the
+    plain one, with probe sites as fusion barriers, so superinstructions
+    survive between probes. Probe slots charge no fuel and no steps.
+    @raise Invalid_argument when [post] is set on a [loop]. *)
 
-val probe_function : instance -> int -> probe_hooks -> unit
+val probe_function : instance -> int -> probed_body -> unit
 (** Install a probed body on defined function [j] (an [inst_code]
     index). The function deopts: any compiled tier-1 closure is
     discarded and tier-up counting is suspended until

@@ -56,10 +56,11 @@ type t = {
           [None] when no probe controller was registered *)
 }
 
+(* registered at module initialisation: a lazy first forced in two farm
+   worker domains at once can raise [CamlinternalLazy.Undefined] *)
 let restore_seconds =
-  lazy
-    (Obs.Metrics.histogram "wasabi_restore_seconds"
-       ~help:"Time to restore an instance from a snapshot")
+  Obs.Metrics.histogram "wasabi_restore_seconds"
+    ~help:"Time to restore an instance from a snapshot"
 
 let capture (inst : instance) : t =
   {
@@ -124,7 +125,7 @@ let restore (t : t) (inst : instance) : unit =
    | Some rearm, _ when not cross -> rearm ()
    | _, Some ps -> ps.ps_detach_all ()
    | _ -> ());
-  Obs.Metrics.observe (Lazy.force restore_seconds)
+  Obs.Metrics.observe restore_seconds
     (Obs.Clock.ns_to_s (Int64.sub (Obs.Clock.now_ns ()) t0))
 
 (** A digest of everything [capture] would capture of the {e guest}

@@ -1733,7 +1733,7 @@ let compile_exn (inst : instance) (fid : int) : compiled_body =
            let next = jump_to ~cur (p + 2) in
            finish (fun ctx ->
              if Array.unsafe_get ctx.id s = 0 then taken ctx else next ctx)
-         | XFusedTail -> raise Unsupported)
+         | XProbe _ | XFusedTail -> raise Unsupported)
       done;
       let term_closure =
         match !term with
@@ -1824,8 +1824,8 @@ let compile_all inst =
   let ok = ref 0 in
   Array.iteri
     (fun i c ->
-       (* probed functions stay on the probed dispatch loop; leave their
-          tier state alone so detaching re-tiers them naturally *)
+       (* probed functions stay on tier 0; leave their tier state alone
+          so detaching re-tiers them naturally *)
        match c.c_probe with
        | Some _ -> ()
        | None ->

@@ -399,6 +399,129 @@ let test_profile_distinguishes_probe_dispatch () =
   (* the AOT decode split must not appear: no marshalling happens here *)
   Alcotest.(check bool) "dispatch.decode absent" false (List.mem "dispatch.decode" timers)
 
+(* --- fuel boundary ----------------------------------------------------- *)
+
+let call_return_spec = { all_spec with sp_groups = [ "call"; "return" ] }
+
+(** Module: [f] counts down from 6; each iteration dispatches on the
+    counter mod 3 through a [br_table] and, on two of the three arms,
+    calls [g]. *)
+let loop_call_table_module () =
+  let b = B.create () in
+  let g =
+    B.add_func b ~params:[ Types.I32T ] ~results:[ Types.I32T ] ~locals:[]
+      ~body:[ B.local_get 0; B.i32 1; B.i32_add ]
+  in
+  let dispatch = [ B.local_get 0; B.i32 3; B.i32_rem_s; Ast.BrTable ([ 0; 1 ], 2) ] in
+  let arm0 = [ B.local_get 1; B.i32 10; B.i32_add; B.local_set 1 ] in
+  let arm01 = [ B.local_get 1; Ast.Call g; B.local_set 1 ] in
+  let body =
+    [ B.i32 6; B.local_set 0 ]
+    @ B.loop
+        (B.block (B.block (B.block dispatch @ arm0) @ arm01)
+         @ [ B.local_get 0; B.i32 1; B.i32_sub; B.local_tee 0; Ast.BrIf 0 ])
+    @ [ B.local_get 1 ]
+  in
+  let f =
+    B.add_func b ~params:[] ~results:[ Types.I32T ] ~locals:[ Types.I32T; Types.I32T ] ~body
+  in
+  B.export_func b ~name:"f" f;
+  B.build b
+
+let test_fuel_boundary_parity () =
+  let m = loop_call_table_module () in
+  Validate.validate_module m;
+  (* [(exhausted, steps)] of one run of [f] under [fuel] *)
+  let run ?spec fuel =
+    let inst = Interp.instantiate ~fuel ~imports:[] m in
+    Option.iter
+      (fun sp ->
+         let c = P.create ~registry:(Obs.Metrics.create ()) inst Wasabi.Analysis.default in
+         ignore (P.attach c sp))
+      spec;
+    let exhausted =
+      match Interp.invoke_export inst "f" [] with
+      | _ -> false
+      | exception Interp.Exhaustion _ -> true
+    in
+    (exhausted, inst.Interp.steps)
+  in
+  let exhausted, steps = run Interp.default_fuel in
+  Alcotest.(check bool) "plain run finishes" false exhausted;
+  for fuel = 1 to steps + 1 do
+    let plain = run fuel in
+    List.iter
+      (fun (name, spec) ->
+         let exh, st = run ~spec fuel in
+         Alcotest.(check bool) (Printf.sprintf "fuel %d, %s: exhaustion" fuel name) (fst plain) exh;
+         Alcotest.(check int) (Printf.sprintf "fuel %d, %s: steps" fuel name) (snd plain) st)
+      [ ("all groups", all_spec); ("call,return", call_return_spec) ]
+  done
+
+let test_profile_sites_keyed_by_original_index () =
+  let m = loop_call_table_module () in
+  let site_counts ?spec () =
+    let inst = Interp.instantiate ~imports:[] m in
+    let prof = Obs.Profile.create () in
+    Interp.set_profiler inst (Some prof);
+    Option.iter
+      (fun sp ->
+         let c = P.create ~registry:(Obs.Metrics.create ()) inst Wasabi.Analysis.default in
+         ignore (P.attach c sp))
+      spec;
+    ignore (Interp.invoke_export inst "f" []);
+    List.map (fun j -> Obs.Profile.site_counts prof j) [ 0; 1 ]
+  in
+  let plain = site_counts () in
+  Alcotest.(check bool) "plain run counted sites" true (List.for_all Option.is_some plain);
+  List.iter
+    (fun (name, spec) ->
+       Alcotest.(check (list (option (array int)))) name plain (site_counts ~spec ()))
+    [ ("all groups", all_spec); ("call,return", call_return_spec) ]
+
+(* --- fusion between probe sites -------------------------------------- *)
+
+let test_fusion_survives_between_probes () =
+  let m = (Workloads.Corpus.find (Workloads.Corpus.make ~n:4 ()) "gemm").Workloads.Corpus.module_ in
+  let groups = call_return_spec.sp_groups in
+  let record buf =
+    {
+      (recorder buf) with
+      return_ =
+        (fun loc rs ->
+           Printf.bprintf buf "return@%d:%d=%s " loc.Wasabi.Location.func
+             loc.Wasabi.Location.instr (String.concat "," (List.map Value.to_string rs)));
+    }
+  in
+  let buf_p = Buffer.create 64 in
+  let inst = Interp.instantiate ~imports:[] m in
+  let c = P.create ~registry:(Obs.Metrics.create ()) inst (record buf_p) in
+  ignore (P.attach c call_return_spec);
+  let slots =
+    Array.to_list inst.Interp.inst_code
+    |> List.concat_map (fun code ->
+      match code.Interp.c_probe with
+      | Some pb -> Array.to_list pb.Interp.pb_xbody
+      | None -> [])
+  in
+  Alcotest.(check bool) "probed body has probe slots" true
+    (List.exists (function Interp.XProbe _ -> true | _ -> false) slots);
+  Alcotest.(check bool) "probed body keeps fused superinstructions" true
+    (List.exists (function Interp.XF64LoadScaled _ -> true | _ -> false) slots);
+  let r_p = Interp.invoke_export inst "run" [] in
+  let res =
+    Wasabi.Instrument.instrument
+      ~groups:(Wasabi.Hook.of_list (List.map Wasabi.Hook.group_of_name groups))
+      m
+  in
+  let buf_a = Buffer.create 64 in
+  let inst_a, _ = Wasabi.Runtime.instantiate res (record buf_a) in
+  let r_a = Interp.invoke_export inst_a "run" [] in
+  Alcotest.(check bool) "same result" true (r_p = r_a);
+  Alcotest.(check bool) "events were reported" true (Buffer.length buf_p > 0);
+  Alcotest.(check string) "event stream equals the AOT rewrite's" (Buffer.contents buf_a)
+    (Buffer.contents buf_p)
+
 let suite =
   let case name f = Alcotest.test_case name `Quick f in
   [
@@ -419,4 +542,9 @@ let suite =
     case "probe metrics: Prometheus golden" test_probe_metrics_prometheus_golden;
     case "probe metrics: JSON golden" test_probe_metrics_json_golden;
     case "profile splits out dispatch.probe" test_profile_distinguishes_probe_dispatch;
+    case "fuel boundary: probed runs exhaust where plain runs do" test_fuel_boundary_parity;
+    case "profile site counts stay keyed by original index"
+      test_profile_sites_keyed_by_original_index;
+    case "fused superinstructions survive between probe slots"
+      test_fusion_survives_between_probes;
   ]
