@@ -708,53 +708,21 @@ let serve_workload () =
   let e = Workloads.Corpus.find (Lazy.force corpus_static) "gemm" in
   W.Instrument.instrument ~groups:Analyses.Instruction_mix.groups e.Workloads.Corpus.module_
 
-(** A deliberately heavy analysis: burns cycles per hook event so that
-    analysis cost is of the same order as event production cost — the
-    regime where async dispatch (analysis overlapped with the next
-    run's interpretation) should beat sync (analysis inline on the
-    interpreter's critical path). *)
-let heavy_analysis () =
-  W.Analysis.reify (fun _ev ->
-      let x = ref 7 in
-      for _ = 1 to 200 do
-        x := (!x * 31) + 1
-      done;
-      ignore (Sys.opaque_identity !x))
-
-let light_analysis () =
-  let st = Analyses.Instruction_mix.create () in
-  Analyses.Instruction_mix.analysis st
-
-type serve_row = {
-  r_domains : int;
-  r_label : string;
-  r_stats : Serve.Farm.stats;
-}
-
 let serve_runs fast = if fast then 48 else 240
 
-let serve_row ~res ~runs ~domains ~label ~mode ~make_analysis () =
-  let st = Serve.Farm.run ~mode ~domains ~runs ~entry:"run" ~make_analysis res in
-  Printf.printf "  %7d %-18s %6d %10.1f %9.1f %9.1f\n" domains label st.Serve.Farm.st_runs
-    st.Serve.Farm.st_instances_per_sec
-    (st.Serve.Farm.st_lat_p50_ns /. 1e3)
-    (st.Serve.Farm.st_lat_p99_ns /. 1e3);
-  { r_domains = domains; r_label = label; r_stats = st }
+(** Instances/s of the farm serving [runs] runs on [domains] domains. *)
+let serve_ips ~res ~runs domains =
+  let make_analysis _ = Analyses.Instruction_mix.(analysis (create ())) in
+  (Serve.Farm.run ~domains ~runs ~entry:"run" ~make_analysis res).Serve.Farm.st_instances_per_sec
 
-let serve_json path ~cores ~equal rows =
+let serve_json path ~cores ~runs rows =
   let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "{\n  \"cores\": %d,\n  \"stream_equal\": %b,\n  \"rows\": [\n" cores equal);
+  Buffer.add_string b (Printf.sprintf "{\n  \"cores\": %d,\n  \"rows\": [\n" cores);
   List.iteri
-    (fun i r ->
-       let s = r.r_stats in
+    (fun i (domains, ips) ->
        Buffer.add_string b
-         (Printf.sprintf
-            "    {\"domains\": %d, \"label\": %S, \"mode\": %S, \"runs\": %d, \
-             \"instances_per_sec\": %.2f, \"lat_p50_ns\": %.0f, \"lat_p99_ns\": %.0f}%s\n"
-            r.r_domains r.r_label s.Serve.Farm.st_mode s.Serve.Farm.st_runs
-            s.Serve.Farm.st_instances_per_sec s.Serve.Farm.st_lat_p50_ns
-            s.Serve.Farm.st_lat_p99_ns
+         (Printf.sprintf "    {\"domains\": %d, \"runs\": %d, \"instances_per_sec\": %.2f}%s\n"
+            domains runs ips
             (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string b "  ]\n}\n";
@@ -763,105 +731,80 @@ let serve_json path ~cores ~equal rows =
   close_out oc;
   Printf.printf "  wrote %s\n" path
 
-(** The serving matrix: sync scaling over domain counts, then the
-    sync-vs-async comparison under the heavy analysis. The async event
-    stream is differentially verified against sync dispatch first —
-    throughput numbers for a wrong stream would be meaningless. *)
+(** The serving matrix: instances/s of the farm over domain counts, with
+    the scaling of the widest row against one domain. *)
 let serve_bench json_path =
   Support.hr "bench serve: domain-parallel instance farm (gemm, instruction-mix groups)";
   let fast = Sys.getenv_opt "WASABI_BENCH_FAST" <> None in
   let res = serve_workload () in
   let cores = Domain.recommended_domain_count () in
-  let equal = Serve.Farm.verify_stream_equality ~runs:2 ~entry:"run" res in
   Printf.printf "  cores available: %d\n" cores;
-  Printf.printf "  async-vs-sync event stream: %s\n" (if equal then "EQUAL" else "DIVERGED");
-  if not equal then exit 1;
   let runs = serve_runs fast in
   let domain_counts = if fast then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
-  Printf.printf "  %7s %-18s %6s %10s %9s %9s\n" "domains" "dispatch" "runs" "inst/s"
-    "p50(us)" "p99(us)";
-  let sync_rows =
+  Printf.printf "  %7s %6s %10s\n" "domains" "runs" "inst/s";
+  let rows =
     List.map
       (fun d ->
-         serve_row ~res ~runs ~domains:d ~label:"sync(light)" ~mode:Serve.Farm.Sync
-           ~make_analysis:(fun _ -> light_analysis ()) ())
+         let ips = serve_ips ~res ~runs d in
+         Printf.printf "  %7d %6d %10.1f\n" d runs ips;
+         (d, ips))
       domain_counts
   in
-  let heavy_pairs = if fast then [ 1 ] else [ 1; 2; 4 ] in
-  let heavy_rows =
-    List.concat_map
-      (fun d ->
-         (* bind in sequence: list literals evaluate right-to-left *)
-         let s =
-           serve_row ~res ~runs ~domains:d ~label:"sync(heavy)" ~mode:Serve.Farm.Sync
-             ~make_analysis:(fun _ -> heavy_analysis ()) ()
-         in
-         let a =
-           serve_row ~res ~runs ~domains:d ~label:"async(heavy)"
-             ~mode:(Serve.Farm.Async { consumers = d; capacity = 256 })
-             ~make_analysis:(fun _ -> heavy_analysis ()) ()
-         in
-         [ s; a ])
-      heavy_pairs
-  in
-  let rows = sync_rows @ heavy_rows in
-  let ips label d =
-    List.find_map
-      (fun r ->
-         if r.r_label = label && r.r_domains = d then
-           Some r.r_stats.Serve.Farm.st_instances_per_sec
-         else None)
-      rows
-  in
-  let ratio a b = match a, b with Some x, Some y when y > 0.0 -> Some (x /. y) | _ -> None in
   let hi = List.fold_left max 1 domain_counts in
-  (match ratio (ips "sync(light)" hi) (ips "sync(light)" 1) with
-   | Some r ->
-     Printf.printf "  sync scaling %dv1: %.2fx%s\n" hi r
-       (if cores < hi then Printf.sprintf " (only %d cores — scaling not expected)" cores else "")
-   | None -> ());
-  (match ratio (ips "async(heavy)" 1) (ips "sync(heavy)" 1) with
-   | Some r ->
-     Printf.printf "  async/sync under heavy analysis at 1 domain: %.2fx%s\n" r
-       (if cores < 2 then " (1 core — consumer cannot overlap the worker)" else "")
-   | None -> ());
-  Option.iter (fun p -> serve_json p ~cores ~equal rows) json_path
+  let one = List.assoc 1 rows in
+  if one > 0.0 then
+    Printf.printf "  scaling %dv1: %.2fx%s\n" hi (List.assoc hi rows /. one)
+      (if cores < hi then Printf.sprintf " (only %d cores — scaling not expected)" cores else "");
+  Option.iter (fun p -> serve_json p ~cores ~runs rows) json_path
 
-(** CI gate: the farm must scale ≥ MIN_SCALING at 4 domains vs 1 —
-    enforced only when the machine actually has ≥ 4 cores; on smaller
-    machines the ratio is reported and the gate passes with a note
-    (parallel speedup is unmeasurable there, not broken). Stream
-    equality is enforced unconditionally — it holds on any core
-    count. *)
+(** The 2-domains-vs-1 floor of {!serve_check}. On a shared 2-core
+    x86-64 machine, 15 fast-mode gate runs gave medians of 1.26–1.85x
+    (single pairs 1.03–2.02x); 1.1x sits well below the lowest median
+    while still failing a farm whose second domain buys nothing (≤1x). *)
+let min_scaling_2v1 = 1.1
+
+(** CI gate on the farm's domain scaling, two floors:
+    - 2 domains vs 1 ≥ {!min_scaling_2v1}, as the median of 3
+      alternating 1-domain/2-domain pairs (alternation spreads machine
+      drift over both sides), enforced when the machine has ≥ 2 cores;
+    - 4 domains vs 1 ≥ MIN_SCALING, enforced when it has ≥ 4 cores.
+    On smaller machines a ratio is reported and its gate passes with a
+    note: parallel speedup is unmeasurable there, not broken. *)
 let serve_check min_scaling =
-  Support.hr "bench serve-check: scaling + stream-equality gate";
+  Support.hr "bench serve-check: domain-scaling gate";
   let res = serve_workload () in
   let cores = Domain.recommended_domain_count () in
-  if not (Serve.Farm.verify_stream_equality ~runs:2 ~entry:"run" res) then begin
-    Printf.eprintf "serve-check: FAIL — async event stream differs from sync reference\n";
-    exit 1
-  end;
-  Printf.printf "  async-vs-sync event stream: EQUAL\n";
   let fast = Sys.getenv_opt "WASABI_BENCH_FAST" <> None in
   let runs = serve_runs fast in
-  let run_at d =
-    (Serve.Farm.run ~mode:Serve.Farm.Sync ~domains:d ~runs ~entry:"run"
-       ~make_analysis:(fun _ -> light_analysis ()) res)
-      .Serve.Farm.st_instances_per_sec
+  let run_at = serve_ips ~res ~runs in
+  let ratio a b = if b > 0.0 then a /. b else 0.0 in
+  let gate ~name ~need ~scaling ~floor =
+    Printf.printf "  %s: %.2fx (floor %.2fx)\n" name scaling floor;
+    if cores < need then
+      Printf.printf "  %s gate not enforced: %d cores < %d (reported for the record)\n" name cores
+        need
+    else if scaling < floor then begin
+      Printf.eprintf "serve-check: FAIL — %s scaling %.2fx below the %.2fx floor on a %d-core machine\n"
+        name scaling floor cores;
+      exit 1
+    end
   in
+  let pairs =
+    List.init 3 (fun _ ->
+        let one = run_at 1 in
+        let two = run_at 2 in
+        Printf.printf "  instances/s at 1 domain %.1f, at 2 domains %.1f — %.2fx\n" one two
+          (ratio two one);
+        ratio two one)
+  in
+  let median = List.nth (List.sort compare pairs) 1 in
+  Printf.printf "  cores %d\n" cores;
+  gate ~name:"2v1 (median of 3 pairs)" ~need:2 ~scaling:median ~floor:min_scaling_2v1;
   let one = run_at 1 in
   let four = run_at 4 in
-  let scaling = if one > 0.0 then four /. one else 0.0 in
-  Printf.printf "  cores %d; instances/s at 1 domain %.1f, at 4 domains %.1f — %.2fx (floor %.2fx)\n"
-    cores one four scaling min_scaling;
-  if cores >= 4 && scaling < min_scaling then begin
-    Printf.eprintf "serve-check: FAIL — scaling %.2fx below the %.2fx floor on a %d-core machine\n"
-      scaling min_scaling cores;
-    exit 1
-  end;
-  if cores < 4 then
-    Printf.printf "  gate not enforced: %d cores < 4 (reported for the record)\n" cores
-  else Printf.printf "  gate passed\n"
+  Printf.printf "  instances/s at 1 domain %.1f, at 4 domains %.1f\n" one four;
+  gate ~name:"4v1" ~need:4 ~scaling:(ratio four one) ~floor:min_scaling;
+  Printf.printf "  gate passed\n"
 
 (* ------------------------------------------------------------------ *)
 (* Static analysis smoke: call graph, lint, selective instrumentation  *)

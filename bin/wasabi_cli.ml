@@ -712,41 +712,18 @@ let serve_cmd =
   let runs_arg =
     Arg.(value & opt int 1000 & info [ "runs" ] ~docv:"N" ~doc:"Total executions to serve")
   in
-  let mode_arg =
-    Arg.(value & opt (enum [ ("sync", `Sync); ("async", `Async) ]) `Sync
-         & info [ "mode" ] ~docv:"MODE"
-             ~doc:"Analysis dispatch: $(b,sync) runs callbacks inline in the workers \
-                   (reference semantics); $(b,async) ships reified events through \
-                   per-worker rings to consumer domains")
-  in
-  let consumers_arg =
-    Arg.(value & opt int 1
-         & info [ "consumers" ] ~docv:"N" ~doc:"Consumer domains draining rings (async mode)")
-  in
-  let capacity_arg =
-    Arg.(value & opt int 1024
-         & info [ "ring-capacity" ] ~docv:"N"
-             ~doc:"Per-worker ring capacity in events, rounded up to a power of two; a full \
-                   ring blocks its producer (backpressure, async mode)")
-  in
   let analysis_arg =
     let doc = "Bundled analysis every run feeds (instruction-mix, basic-blocks, coverage, call-graph, cryptominer, memory-trace, taint, trace)" in
     Arg.(value & opt string "instruction-mix" & info [ "analysis" ] ~docv:"NAME" ~doc)
   in
-  let verify_arg =
-    Arg.(value & flag
-         & info [ "verify" ]
-             ~doc:"Before serving, differentially check that the async event stream equals \
-                   the sync stream for this module and entry (exit 13 on mismatch)")
-  in
   let metrics_out_arg =
     Arg.(value & opt (some string) None
          & info [ "metrics-out" ] ~docv:"FILE"
-             ~doc:"Write farm metrics (runs, faults, instances/s, event-latency histogram) \
-                   to FILE: Prometheus text when it ends in .prom, JSON otherwise")
+             ~doc:"Write farm metrics (runs, faults, instances/s) to FILE: Prometheus \
+                   text when it ends in .prom, JSON otherwise")
   in
-  let run input entry domains runs mode consumers capacity analysis_name verify tier
-      deadline_ms max_grow_pages host_call_budget metrics_out =
+  let run input entry domains runs analysis_name tier deadline_ms max_grow_pages
+      host_call_budget metrics_out =
     structured @@ fun () ->
     let m = read_module input in
     Wasm.Validate.validate_module m;
@@ -757,15 +734,6 @@ let serve_cmd =
     | Some (Packaged a) ->
       let groups = a.groups in
       let res = W.Instrument.instrument ~groups m in
-      if verify && not (Serve.Farm.verify_stream_equality ~entry res) then begin
-        Printf.eprintf "wasabi serve: async event stream differs from sync reference\n";
-        exit 13
-      end;
-      let mode =
-        match mode with
-        | `Sync -> Serve.Farm.Sync
-        | `Async -> Serve.Farm.Async { consumers; capacity }
-      in
       let tier1 = match tier with Some n when n > 0 -> true | _ -> false in
       let make_governor =
         match deadline_ms, max_grow_pages, host_call_budget with
@@ -780,18 +748,12 @@ let serve_cmd =
         | Packaged b -> b.analysis b.state
       in
       let st =
-        Serve.Farm.run ~tier1 ?make_governor ~mode ~domains ~runs ~entry ~make_analysis res
+        Serve.Farm.run ~tier1 ?make_governor ~domains ~runs ~entry ~make_analysis res
       in
-      Printf.printf "served %d runs (%d contained faults) on %d domains [%s]\n"
-        st.Serve.Farm.st_runs st.Serve.Farm.st_faults st.Serve.Farm.st_domains
-        st.Serve.Farm.st_mode;
+      Printf.printf "served %d runs (%d contained faults) on %d domains\n"
+        st.Serve.Farm.st_runs st.Serve.Farm.st_faults st.Serve.Farm.st_domains;
       Printf.printf "  %.1f instances/s over %.3f s\n" st.Serve.Farm.st_instances_per_sec
         st.Serve.Farm.st_elapsed_s;
-      if st.Serve.Farm.st_events > 0 then
-        Printf.printf "  %d events shipped; sampled delivery latency p50 %.1f us, p99 %.1f us\n"
-          st.Serve.Farm.st_events
-          (st.Serve.Farm.st_lat_p50_ns /. 1e3)
-          (st.Serve.Farm.st_lat_p99_ns /. 1e3);
       (match metrics_out with
        | None -> ()
        | Some path ->
@@ -806,13 +768,12 @@ let serve_cmd =
   let info =
     Cmd.info "serve"
       ~doc:"Serve repeated isolated executions from one instrumented instance across domains \
-            (decode/instrument/compile once, fork + snapshot-restore per run), with sync or \
-            async analysis dispatch"
+            (decode/instrument/compile once, fork + snapshot-restore per run), with the \
+            analysis running inline in each worker"
   in
   Cmd.v info
-    Term.(const run $ input_arg $ entry_arg $ domains_arg $ runs_arg $ mode_arg
-          $ consumers_arg $ capacity_arg $ analysis_arg $ verify_arg $ tier_arg
-          $ deadline_arg $ max_grow_arg $ host_call_budget_arg $ metrics_out_arg)
+    Term.(const run $ input_arg $ entry_arg $ domains_arg $ runs_arg $ analysis_arg
+          $ tier_arg $ deadline_arg $ max_grow_arg $ host_call_budget_arg $ metrics_out_arg)
 
 (* --- profile --------------------------------------------------------- *)
 

@@ -207,6 +207,25 @@ let run_instrumented (m : Ast.module_) ~fuel : (run_result, string) result =
      | Ok (Ok inst) -> Ok (snapshot m inst (Error err))
      | _ -> Ok { outcome = Error err; mem_digest = None; globals = [] })
 
+(** Uninstrumented run that also reports the final step count (the
+    anchor for mid-run trigger placement and for the restore oracle's
+    fuel bound). The invoke is guarded
+    inline so the instance stays in hand after a structured trap. *)
+let run_plain_steps (m : Ast.module_) ~fuel : (run_result * int, string) result =
+  match
+    guarded (fun () ->
+      let inst = Interp.instantiate ~fuel ~imports:[] m in
+      let outcome =
+        try Ok (Interp.invoke_export inst "run" [])
+        with e ->
+          (match Error.classify e with Some err -> Error err | None -> raise e)
+      in
+      (inst, outcome))
+  with
+  | Error crash -> Error crash
+  | Ok (Ok (inst, outcome)) -> Ok (snapshot m inst outcome, inst.Interp.steps)
+  | Ok (Error err) -> Ok ({ outcome = Error err; mem_digest = None; globals = [] }, 0)
+
 let string_of_outcome = function
   | Ok vs -> "values [" ^ String.concat "; " (List.map Value.to_string vs) ^ "]"
   | Error (e : Error.t) -> Error.to_string e
@@ -344,9 +363,26 @@ let compare_runs ~kind ~left ~right (a : run_result) (b : run_result) : verdict 
       in
       violation kind "global %s diverged: %s %s vs %s %s" n left (Value.to_string v) right v')
 
+(** Fuel multiplier over the plain run's step count for the restore
+    oracle's instrumented runs. Over the 1996 terminating cases of the
+    seed-1 campaign the instrumented/plain step ratio peaks at 16.8
+    (full hooks, no-op analysis); twice that, rounded up, is 34. *)
+let restore_fuel_scale = 34
+
+(** Fuel for the restore oracle's three instrumented runs, from a plain
+    screening run: [restore_fuel_scale] × its steps when it terminates,
+    [base_fuel × restore_fuel_scale] when it exhausts its fuel (or
+    crashes, which the differential oracle reports), and never more than
+    the differential oracle's [base_fuel × hook_fuel_scale]. *)
+let restore_fuel (m : Ast.module_) =
+  match run_plain_steps m ~fuel:base_fuel with
+  | Ok (base, steps) when not (is_out_of_fuel base.outcome) ->
+    min (base_fuel * hook_fuel_scale) (max steps 1 * restore_fuel_scale)
+  | Ok _ | Error _ -> base_fuel * restore_fuel_scale
+
 let restore_equivalence ~seed ~index (info : Gen.info) : verdict =
   let m = info.Gen.module_ in
-  let fuel = base_fuel * hook_fuel_scale in
+  let fuel = restore_fuel m in
   let tiered = index land 1 = 0 in
   let fplan = Faults.plan ~seed ~index in
   (* [guarded] wraps each phase separately so a crash names its phase;
@@ -720,24 +756,6 @@ type probe_variant =
   | P_detach_mid of int  (** attached from the start, detached at [n] *)
   | P_sparse of Wasabi.Hook.group list
       (** only these groups, attached before the run, tier 0 *)
-
-(** Uninstrumented run that also reports the final step count (the
-    anchor for mid-run trigger placement). The invoke is guarded
-    inline so the instance stays in hand after a structured trap. *)
-let run_plain_steps (m : Ast.module_) ~fuel : (run_result * int, string) result =
-  match
-    guarded (fun () ->
-      let inst = Interp.instantiate ~fuel ~imports:[] m in
-      let outcome =
-        try Ok (Interp.invoke_export inst "run" [])
-        with e ->
-          (match Error.classify e with Some err -> Error err | None -> raise e)
-      in
-      (inst, outcome))
-  with
-  | Error crash -> Error crash
-  | Ok (Ok (inst, outcome)) -> Ok (snapshot m inst outcome, inst.Interp.steps)
-  | Ok (Error err) -> Ok ({ outcome = Error err; mem_digest = None; globals = [] }, 0)
 
 (** AOT-instrumented run recording the hook-event stream into [buf],
     cleared right after instantiation so start-function events (which

@@ -75,7 +75,10 @@ val restore_equivalence : seed:int -> index:int -> Gen.info -> verdict
     run clean — outcome, memory digest and exported globals must match a
     run on a fresh instance at the same fuel. Every odd [index] runs on
     tier 0; every even one forces the tier-1 compiler on (threshold 1)
-    with deopt-on-fault enabled, exercising compiled-body unwinding. *)
+    with deopt-on-fault enabled, exercising compiled-body unwinding.
+    A plain screening run bounds the instrumented fuel: 34 × its steps
+    when it terminates, [base_fuel × 34] when it does not, and at most
+    [base_fuel × hook_fuel_scale]. *)
 
 val lint_instrumented : Wasm.Ast.module_ -> verdict
 (** Instrument the module — once fully, once with call-graph-driven

@@ -6,50 +6,33 @@
     [br_table] index and the instance's pre-decoded instruction streams
     with all per-function side tables — all immutable after binding.
     Each worker domain forks a copy-on-write instance ([Runtime.fork]:
-    fresh memory/globals/table/stack, rebound hook imports), optionally
-    tier-1 compiles its own closures (closures close over their
-    instance, so they are per-fork by construction), captures a pristine
-    snapshot, and serves its batch restore-per-run.
+    fresh memory/globals/table/stack, hook imports rebound to the
+    worker's own analysis), optionally tier-1 compiles its own closures
+    (closures close over their instance, so they are per-fork by
+    construction), captures a pristine snapshot, and serves its batch
+    restore-per-run. Analysis callbacks run inline in the worker's
+    hooks, as in the paper.
 
     Work distribution is static sharding — worker [w] of [N] serves
     ⌈runs/N⌉ or ⌊runs/N⌋ runs — not work stealing: batches are uniform
     (same module, same entry), so stealing would buy nothing and cost a
     shared queue on the hot path.
 
-    Dispatch modes:
-    - [Sync]: analysis callbacks run inline in the worker's hooks — the
-      default and the reference semantics;
-    - [Async]: hooks reify events into per-worker SPSC rings drained by
-      [consumers] consumer domains (worker [w] → consumer [w mod
-      consumers]); bounded rings give backpressure, so the stream stays
-      equal to sync dispatch ({!verify_stream_equality} checks exactly
-      this), just decoupled — a heavy analysis overlaps the next run's
-      interpretation instead of stalling it.
-
     Everything the farm measures is exported through {!Obs.Metrics}
-    (runs, faults, events, instances/s, sampled event delivery
-    latency), so `wasabi serve --metrics-out` and the Prometheus
-    scrape see the same numbers the bench reports. *)
+    (runs, faults, instances/s), so `wasabi serve --metrics-out` and the
+    Prometheus scrape see the same numbers the bench reports. *)
 
 open Wasm
 
-type mode = Sync | Async of { consumers : int; capacity : int }
+type mode = Sync
 
 type stats = {
   st_domains : int;
-  st_mode : string;  (** ["sync"] or ["async(c=N,cap=N)"] *)
   st_runs : int;
   st_faults : int;
-  st_events : int;  (** events shipped through rings (async mode) *)
   st_elapsed_s : float;
   st_instances_per_sec : float;
-  st_lat_p50_ns : float;  (** production-to-applied, sampled; 0 in sync *)
-  st_lat_p99_ns : float;
 }
-
-let mode_label = function
-  | Sync -> "sync"
-  | Async { consumers; capacity } -> Printf.sprintf "async(c=%d,cap=%d)" consumers capacity
 
 let m_runs =
   lazy (Obs.Metrics.counter "wasabi_serve_runs_total" ~help:"Executions served by the farm")
@@ -57,152 +40,70 @@ let m_faults =
   lazy
     (Obs.Metrics.counter "wasabi_serve_faults_total"
        ~help:"Served executions contained by restore (trap/exhaustion/governor)")
-let m_events =
-  lazy
-    (Obs.Metrics.counter "wasabi_serve_events_total"
-       ~help:"Hook events shipped through async dispatch rings")
 let m_ips =
   lazy
     (Obs.Metrics.gauge "wasabi_serve_instances_per_second"
        ~help:"Aggregate served executions per second, last farm run")
-let m_lat =
-  lazy
-    (Obs.Metrics.histogram "wasabi_serve_event_latency_seconds"
-       ~help:"Sampled hook-event production-to-applied latency (async dispatch)")
 
-let percentile (sorted : int64 array) p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let i = int_of_float (p *. float_of_int (n - 1) +. 0.5) in
-    Int64.to_float sorted.(max 0 (min (n - 1) i))
+(** Faults contained per run: anything restore erases. *)
+let is_contained = function
+  | Value.Trap _ | Interp.Exhaustion _ | Error.Governor_limit _ -> true
+  | e -> Interp.is_fault_exn e
+
+(** One worker's batch, inside its own domain; everything it touches
+    after the fork is worker-private. Returns the contained-fault count
+    and the worker's profiler. *)
+let serve_batch ~template ~analysis ~tier1 ?make_governor ~profile ~entry ~args runs =
+  let inst, rt = Wasabi.Runtime.fork template analysis in
+  if tier1 then ignore (Tier1.compile_all inst : int);
+  let prof = if profile then Some (Obs.Profile.create ()) else None in
+  if profile then Wasabi.Runtime.attach_profiler rt prof;
+  let gov = Option.map (fun mk -> mk ()) make_governor in
+  Interp.set_governor inst gov;
+  let snap = Snapshot.capture inst in
+  let faults = ref 0 in
+  for _ = 1 to runs do
+    Snapshot.restore snap inst;
+    Option.iter Governor.arm gov;
+    try ignore (Interp.invoke_export inst entry args : Value.t list)
+    with e when is_contained e -> incr faults
+  done;
+  (!faults, prof)
 
 (** Serve [runs] executions of [entry] across [domains] worker domains.
     [make_analysis w] builds worker [w]'s analysis (its state is only
-    ever touched by one domain: the worker itself under [Sync], the
-    draining consumer under [Async]). [profile_into] turns on
+    ever touched by the worker's own domain). [profile_into] turns on
     per-worker profilers and merges them at the end. *)
-let run ?(tier1 = false) ?make_governor ?profile_into ?(args = []) ~mode ~domains
-    ~runs ~entry ~(make_analysis : int -> Wasabi.Analysis.t)
+let run ?(tier1 = false) ?make_governor ?profile_into ?(args = []) ?mode:(_ : mode = Sync)
+    ~domains ~runs ~entry ~(make_analysis : int -> Wasabi.Analysis.t)
     (res : Wasabi.Instrument.result) : stats =
   if domains < 1 then invalid_arg "Farm.run: domains must be positive";
   if runs < 0 then invalid_arg "Farm.run: runs must be non-negative";
   let _inst, template = Wasabi.Runtime.instantiate res Wasabi.Analysis.default in
   let runs_of w = (runs / domains) + (if w < runs mod domains then 1 else 0) in
   let profile = Option.is_some profile_into in
-  let spawn_worker w dispatch =
-    Domain.spawn (fun () ->
-        Worker.run ~template ~dispatch ~tier1 ?make_governor ~profile ~entry ~args
-          ~runs:(runs_of w) ())
-  in
   let t0 = Obs.Clock.now_ns () in
-  let worker_outcomes, consumer_outcomes =
-    match mode with
-    | Sync ->
-      let analyses = Array.init domains make_analysis in
-      let doms = Array.init domains (fun w -> spawn_worker w (Worker.Sync analyses.(w))) in
-      (Array.map Domain.join doms, [||])
-    | Async { consumers; capacity } ->
-      let consumers = max 1 (min consumers domains) in
-      let rings = Array.init domains (fun _ -> Ring.create ~dummy:Worker.Done capacity) in
-      let analyses = Array.init domains make_analysis in
-      (* consumers first: a full ring blocks its producer until drained *)
-      let cons =
-        Array.init consumers (fun c ->
-            let pairs =
-              Array.of_list
-                (List.filter_map
-                   (fun w ->
-                      if w mod consumers = c then Some (rings.(w), analyses.(w)) else None)
-                   (List.init domains Fun.id))
-            in
-            Domain.spawn (fun () -> Consumer.drain pairs))
-      in
-      let doms = Array.init domains (fun w -> spawn_worker w (Worker.Async rings.(w))) in
-      let wo = Array.map Domain.join doms in
-      let co = Array.map Domain.join cons in
-      (wo, co)
+  let analyses = Array.init domains make_analysis in
+  let outcomes =
+    Array.map Domain.join
+      (Array.init domains (fun w ->
+           Domain.spawn (fun () ->
+               serve_batch ~template ~analysis:analyses.(w) ~tier1 ?make_governor ~profile
+                 ~entry ~args (runs_of w))))
   in
   let elapsed_s = Obs.Clock.ns_to_s (Int64.sub (Obs.Clock.now_ns ()) t0) in
-  (match profile_into with
-   | None -> ()
-   | Some into ->
-     Array.iter
-       (fun (o : Worker.outcome) ->
-          Option.iter (fun p -> Obs.Profile.merge ~into p) o.Worker.w_profile)
-       worker_outcomes);
-  let total_runs = Array.fold_left (fun a (o : Worker.outcome) -> a + o.w_runs) 0 worker_outcomes in
-  let faults = Array.fold_left (fun a (o : Worker.outcome) -> a + o.w_faults) 0 worker_outcomes in
-  let events =
-    Array.fold_left (fun a (o : Consumer.outcome) -> a + o.c_events) 0 consumer_outcomes
-  in
-  let lats =
-    Array.of_list
-      (Array.fold_left
-         (fun acc (o : Consumer.outcome) -> List.rev_append o.c_lat_ns acc)
-         [] consumer_outcomes)
-  in
-  Array.sort Int64.compare lats;
-  let ips = if elapsed_s > 0.0 then float_of_int total_runs /. elapsed_s else 0.0 in
-  Obs.Metrics.inc (Lazy.force m_runs) ~by:(float_of_int total_runs);
+  Option.iter
+    (fun into -> Array.iter (fun (_, p) -> Option.iter (Obs.Profile.merge ~into) p) outcomes)
+    profile_into;
+  let faults = Array.fold_left (fun a (f, _) -> a + f) 0 outcomes in
+  let ips = if elapsed_s > 0.0 then float_of_int runs /. elapsed_s else 0.0 in
+  Obs.Metrics.inc (Lazy.force m_runs) ~by:(float_of_int runs);
   Obs.Metrics.inc (Lazy.force m_faults) ~by:(float_of_int faults);
-  Obs.Metrics.inc (Lazy.force m_events) ~by:(float_of_int events);
   Obs.Metrics.set (Lazy.force m_ips) ips;
-  Array.iter
-    (fun ns -> Obs.Metrics.observe (Lazy.force m_lat) (Obs.Clock.ns_to_s ns))
-    lats;
   {
     st_domains = domains;
-    st_mode = mode_label mode;
-    st_runs = total_runs;
+    st_runs = runs;
     st_faults = faults;
-    st_events = events;
     st_elapsed_s = elapsed_s;
     st_instances_per_sec = ips;
-    st_lat_p50_ns = percentile lats 0.50;
-    st_lat_p99_ns = percentile lats 0.99;
   }
-
-(** Differential check backing the async path's correctness claim: the
-    reified event stream delivered through a real ring to a consumer
-    domain equals the stream a synchronous sink observes, per instance,
-    in order. Uses [compare] (not [=]) so NaN payloads compare equal to
-    themselves. *)
-let verify_stream_equality ?(runs = 1) ?(args = []) ~entry
-    (res : Wasabi.Instrument.result) : bool =
-  let _inst, template = Wasabi.Runtime.instantiate res Wasabi.Analysis.default in
-  let sync_events =
-    let acc = ref [] in
-    let inst, _rt =
-      Wasabi.Runtime.fork ~sink:(fun ev -> acc := ev :: !acc) template
-        Wasabi.Analysis.default
-    in
-    let snap = Snapshot.capture inst in
-    for _ = 1 to runs do
-      Snapshot.restore snap inst;
-      try ignore (Interp.invoke_export inst entry args : Value.t list)
-      with e when Worker.is_contained e -> ()
-    done;
-    List.rev !acc
-  in
-  let async_events =
-    let ring = Ring.create ~dummy:Worker.Done 512 in
-    let collector =
-      Domain.spawn (fun () ->
-          let acc = ref [] in
-          let rec loop () =
-            match Ring.pop ring with
-            | Worker.Done -> List.rev !acc
-            | Worker.Ev ev | Worker.Ev_t (_, ev) ->
-              acc := ev :: !acc;
-              loop ()
-          in
-          loop ())
-    in
-    ignore
-      (Worker.run ~template ~dispatch:(Worker.Async ring) ~tier1:false ~entry ~args
-         ~runs ()
-        : Worker.outcome);
-    Domain.join collector
-  in
-  compare sync_events async_events = 0

@@ -1,36 +1,31 @@
 (** The instance farm: instrument/instantiate once, serve batches of
     restore-isolated executions across OCaml 5 domains, with analysis
-    dispatch either inline in the workers ([Sync], the reference
-    semantics) or reified through per-worker SPSC rings to consumer
-    domains ([Async], backpressured so the event stream stays equal).
-    Throughput and sampled event latency are exported through
-    {!Obs.Metrics}. *)
+    callbacks running inline in the workers' hooks. Throughput is
+    exported through {!Obs.Metrics}. *)
 
-type mode =
-  | Sync
-  | Async of { consumers : int; capacity : int }
-      (** [consumers] draining domains (clamped to [1..domains]); each
-          worker's ring holds [capacity] events (rounded to a power of
-          two) — a full ring blocks its producer (backpressure). *)
+type mode = Sync
+(** Exists only so that callers still passing [~mode:Sync] (the
+    end-to-end benchmark in [perfbench/]) keep compiling; dispatch is
+    always inline. *)
 
 type stats = {
   st_domains : int;
-  st_mode : string;  (** ["sync"] or ["async(c=N,cap=N)"] *)
   st_runs : int;
   st_faults : int;  (** runs contained by restore (trap/exhaustion/budget) *)
-  st_events : int;  (** events shipped through rings (async mode) *)
   st_elapsed_s : float;
   st_instances_per_sec : float;
-  st_lat_p50_ns : float;  (** production-to-applied, sampled; 0 in sync *)
-  st_lat_p99_ns : float;
 }
+
+val is_contained : exn -> bool
+(** Faults a restore erases: traps, fuel exhaustion, governor kills,
+    injected host faults. Anything else propagates out of the worker. *)
 
 val run :
   ?tier1:bool ->
   ?make_governor:(unit -> Wasm.Governor.t) ->
   ?profile_into:Obs.Profile.t ->
   ?args:Wasm.Value.t list ->
-  mode:mode ->
+  ?mode:mode ->
   domains:int ->
   runs:int ->
   entry:string ->
@@ -39,20 +34,8 @@ val run :
   stats
 (** Serve [runs] executions of the [entry] export across [domains]
     worker domains (static sharding). [make_analysis w] builds worker
-    [w]'s analysis; its state is touched by exactly one domain (the
-    worker under [Sync], the draining consumer under [Async]), so
-    analyses need no locking. [make_governor] builds one governor per
+    [w]'s analysis; its state is touched only by that worker's domain,
+    so analyses need no locking. [make_governor] builds one governor per
     worker, re-armed before every run. [profile_into] enables
     per-worker profilers, merged into the given profile at the end.
     @raise Invalid_argument on [domains < 1] or [runs < 0]. *)
-
-val verify_stream_equality :
-  ?runs:int ->
-  ?args:Wasm.Value.t list ->
-  entry:string ->
-  Wasabi.Instrument.result ->
-  bool
-(** Differentially verify that the async path's event stream — reified,
-    shipped through a real ring, applied by a consumer domain — equals
-    the stream a synchronous sink observes for the same executions, in
-    order. NaN payloads compare equal to themselves. *)

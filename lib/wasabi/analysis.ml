@@ -90,98 +90,6 @@ let default = {
   start = nop1;
 }
 
-(** {1 Reified hook events}
-
-    One constructor per callback, carrying exactly the callback's
-    arguments. An event is a pure value: the runtime's compiled decoders
-    resolve everything instance-relative (indirect callees, re-joined i64
-    halves) before the callback fires, so a reified event can cross a
-    domain boundary and be applied by a consumer that never touches the
-    instance. This is what the serve layer's async dispatch ships through
-    its ring buffers. *)
-
-type event =
-  | E_nop of Location.t
-  | E_unreachable of Location.t
-  | E_if of Location.t * bool
-  | E_br of Location.t * Metadata.target
-  | E_br_if of Location.t * Metadata.target * bool
-  | E_br_table of Location.t * Metadata.target array * Metadata.target * int
-  | E_begin of Location.t * Hook.block_kind
-  | E_end of Location.t * Hook.block_kind * Location.t
-  | E_const of Location.t * Value.t
-  | E_drop of Location.t * Value.t
-  | E_select of Location.t * bool * Value.t * Value.t
-  | E_unary of Location.t * string * Value.t * Value.t
-  | E_binary of Location.t * string * Value.t * Value.t * Value.t
-  | E_local of Location.t * string * int * Value.t
-  | E_global of Location.t * string * int * Value.t
-  | E_load of Location.t * string * memarg * Value.t
-  | E_store of Location.t * string * memarg * Value.t
-  | E_memory_size of Location.t * int
-  | E_memory_grow of Location.t * int * int
-  | E_call_pre of Location.t * int * Value.t list * int option
-  | E_call_post of Location.t * Value.t list
-  | E_return of Location.t * Value.t list
-  | E_start of Location.t
-
-(** An analysis whose every callback reifies its arguments and hands the
-    event to [push]. Binding [reify push] into the runtime turns the
-    synchronous hook path into an event producer. *)
-let reify push : t = {
-  nop = (fun l -> push (E_nop l));
-  unreachable = (fun l -> push (E_unreachable l));
-  if_ = (fun l c -> push (E_if (l, c)));
-  br = (fun l t -> push (E_br (l, t)));
-  br_if = (fun l t c -> push (E_br_if (l, t, c)));
-  br_table = (fun l tbl d i -> push (E_br_table (l, tbl, d, i)));
-  begin_ = (fun l k -> push (E_begin (l, k)));
-  end_ = (fun l k bl -> push (E_end (l, k, bl)));
-  const = (fun l v -> push (E_const (l, v)));
-  drop = (fun l v -> push (E_drop (l, v)));
-  select = (fun l c x y -> push (E_select (l, c, x, y)));
-  unary = (fun l op i r -> push (E_unary (l, op, i, r)));
-  binary = (fun l op x y r -> push (E_binary (l, op, x, y, r)));
-  local = (fun l op i v -> push (E_local (l, op, i, v)));
-  global = (fun l op i v -> push (E_global (l, op, i, v)));
-  load = (fun l op ma v -> push (E_load (l, op, ma, v)));
-  store = (fun l op ma v -> push (E_store (l, op, ma, v)));
-  memory_size = (fun l s -> push (E_memory_size (l, s)));
-  memory_grow = (fun l d p -> push (E_memory_grow (l, d, p)));
-  call_pre = (fun l f args ti -> push (E_call_pre (l, f, args, ti)));
-  call_post = (fun l rs -> push (E_call_post (l, rs)));
-  return_ = (fun l rs -> push (E_return (l, rs)));
-  start = (fun l -> push (E_start l));
-}
-
-(** Replay one reified event into an analysis — the consumer side of
-    {!reify}. [apply a (reify Fun.id <hook args>)] is exactly the direct
-    callback invocation, which the serve tests verify differentially. *)
-let apply (a : t) = function
-  | E_nop l -> a.nop l
-  | E_unreachable l -> a.unreachable l
-  | E_if (l, c) -> a.if_ l c
-  | E_br (l, t) -> a.br l t
-  | E_br_if (l, t, c) -> a.br_if l t c
-  | E_br_table (l, tbl, d, i) -> a.br_table l tbl d i
-  | E_begin (l, k) -> a.begin_ l k
-  | E_end (l, k, bl) -> a.end_ l k bl
-  | E_const (l, v) -> a.const l v
-  | E_drop (l, v) -> a.drop l v
-  | E_select (l, c, x, y) -> a.select l c x y
-  | E_unary (l, op, i, r) -> a.unary l op i r
-  | E_binary (l, op, x, y, r) -> a.binary l op x y r
-  | E_local (l, op, i, v) -> a.local l op i v
-  | E_global (l, op, i, v) -> a.global l op i v
-  | E_load (l, op, ma, v) -> a.load l op ma v
-  | E_store (l, op, ma, v) -> a.store l op ma v
-  | E_memory_size (l, s) -> a.memory_size l s
-  | E_memory_grow (l, d, p) -> a.memory_grow l d p
-  | E_call_pre (l, f, args, ti) -> a.call_pre l f args ti
-  | E_call_post (l, rs) -> a.call_post l rs
-  | E_return (l, rs) -> a.return_ l rs
-  | E_start l -> a.start l
-
 (** Sequential composition: both analyses observe every event, [a] first. *)
 let combine (a : t) (b : t) : t = {
   nop = (fun l -> a.nop l; b.nop l);

@@ -52,45 +52,3 @@ val default : t
 
 val combine : t -> t -> t
 (** Sequential composition: both analyses observe every event. *)
-
-(** {1 Reified hook events}
-
-    One constructor per callback, carrying exactly its arguments. Events
-    are pure values (indirect callees and i64 re-joins happen before
-    reification), so they can cross domain boundaries — this is what the
-    serve layer's async dispatch ships through its ring buffers. *)
-
-type event =
-  | E_nop of Location.t
-  | E_unreachable of Location.t
-  | E_if of Location.t * bool
-  | E_br of Location.t * Metadata.target
-  | E_br_if of Location.t * Metadata.target * bool
-  | E_br_table of Location.t * Metadata.target array * Metadata.target * int
-  | E_begin of Location.t * Hook.block_kind
-  | E_end of Location.t * Hook.block_kind * Location.t
-  | E_const of Location.t * Value.t
-  | E_drop of Location.t * Value.t
-  | E_select of Location.t * bool * Value.t * Value.t
-  | E_unary of Location.t * string * Value.t * Value.t
-  | E_binary of Location.t * string * Value.t * Value.t * Value.t
-  | E_local of Location.t * string * int * Value.t
-  | E_global of Location.t * string * int * Value.t
-  | E_load of Location.t * string * memarg * Value.t
-  | E_store of Location.t * string * memarg * Value.t
-  | E_memory_size of Location.t * int
-  | E_memory_grow of Location.t * int * int
-  | E_call_pre of Location.t * int * Value.t list * int option
-  | E_call_post of Location.t * Value.t list
-  | E_return of Location.t * Value.t list
-  | E_start of Location.t
-
-val reify : (event -> unit) -> t
-(** An analysis whose every callback packages its arguments as an
-    {!event} and hands it to the given function — the producer side of
-    async dispatch. *)
-
-val apply : t -> event -> unit
-(** Replay a reified event into an analysis (the consumer side);
-    [apply a] of the event reified from a hook invocation is exactly the
-    direct callback invocation. *)

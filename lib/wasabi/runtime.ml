@@ -92,14 +92,7 @@ let with_mark mark (a : Analysis.t) : Analysis.t =
     start = (fun l -> mark_now mark; a.Analysis.start l);
   }
 
-let create ?(decoder = `Compiled) ?sink (res : Instrument.result) (analysis : Analysis.t) : t =
-  (* a sink interposes at the analysis boundary: hooks still decode
-     their arguments as usual, but the decoded invocation is reified as
-     an [Analysis.event] and handed to [sink] instead of running the
-     callbacks inline — the serve layer's async dispatch path *)
-  let analysis =
-    match sink with None -> analysis | Some push -> Analysis.reify push
-  in
+let create ?(decoder = `Compiled) (res : Instrument.result) (analysis : Analysis.t) : t =
   let mark = ref (-1L) in
   { metadata = res.metadata; analysis; decoder;
     br_index = Metadata.build_br_table_index res.metadata;
@@ -670,9 +663,9 @@ let imports (rt : t) : Interp.imports = imports_of rt (hook_externs rt)
     [wrap_host] is applied to every bound host function — the generated
     hooks and any [Host_func] among [extra_imports] — before binding;
     the fuzzing harness uses it to interpose its fault-injection plan. *)
-let instantiate ?fuel ?decoder ?sink ?wrap_host ?(extra_imports : Interp.imports = [])
+let instantiate ?fuel ?decoder ?wrap_host ?(extra_imports : Interp.imports = [])
     (res : Instrument.result) (analysis : Analysis.t) : Interp.instance * t =
-  let rt = create ?decoder ?sink res analysis in
+  let rt = create ?decoder res analysis in
   let hooks = hook_externs rt in
   let wrap_extern ext =
     match wrap_host, ext with
@@ -707,20 +700,17 @@ let instantiate ?fuel ?decoder ?sink ?wrap_host ?(extra_imports : Interp.imports
     slot, while sharing the immutable per-module work (metadata, the
     [br_table] index, hook specs). Hook imports in the forked instance
     are rebound to the new runtime's hooks, so events dispatch to
-    [analysis] (or reify into [sink]), never to the source runtime's.
+    [analysis], never to the source runtime's.
 
     The fork starts de-tiered; callers that want tier-1 run
     [Tier1.compile_all] on the forked instance. This is the serve farm's
     worker setup: one instrument+instantiate, then one [fork] per worker
     domain. *)
-let fork ?sink (rt : t) (analysis : Analysis.t) : Interp.instance * t =
+let fork (rt : t) (analysis : Analysis.t) : Interp.instance * t =
   let src =
     match rt.instance with
     | Some i -> i
     | None -> invalid_arg "Runtime.fork: runtime has no instance"
-  in
-  let analysis =
-    match sink with None -> analysis | Some push -> Analysis.reify push
   in
   let mark = ref (-1L) in
   let rt' =

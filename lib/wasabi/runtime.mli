@@ -42,16 +42,8 @@ exception Bad_hook_args of Wasm.Error.t
     {!Wasm.Error.Hook_error} (phase [Run], code ["bad-hook-args"],
     CLI exit code 9). *)
 
-val create :
-  ?decoder:decoder_kind ->
-  ?sink:(Analysis.event -> unit) ->
-  Instrument.result -> Analysis.t -> t
-(** [decoder] defaults to [`Compiled]. When [sink] is given, hooks
-    decode as usual but the decoded invocation is reified as an
-    {!Analysis.event} and handed to [sink] instead of running the
-    analysis callbacks inline — the async
-    dispatch seam used by the serve layer; the [analysis] argument is
-    then only the consumer's to apply. *)
+val create : ?decoder:decoder_kind -> Instrument.result -> Analysis.t -> t
+(** [decoder] defaults to [`Compiled]. *)
 
 val attach_profiler : t -> Obs.Profile.t option -> unit
 (** Attach (or detach) a profiler to both the runtime (hook-dispatch
@@ -63,7 +55,6 @@ val imports : t -> Wasm.Interp.imports
 val instantiate :
   ?fuel:int ->
   ?decoder:decoder_kind ->
-  ?sink:(Analysis.event -> unit) ->
   ?wrap_host:(Wasm.Interp.host_func -> Wasm.Interp.host_func) ->
   ?extra_imports:Wasm.Interp.imports ->
   Instrument.result ->
@@ -75,18 +66,15 @@ val instantiate :
     instrumenter appends them after the original imports in ordinal
     order); everything else goes through the name-keyed import list.
     [wrap_host] interposes on every bound host function (hooks and
-    [Host_func] extra imports) — the fault-injection seam. [sink] as in
-    {!create}. *)
+    [Host_func] extra imports) — the fault-injection seam. *)
 
-val fork :
-  ?sink:(Analysis.event -> unit) ->
-  t -> Analysis.t -> Wasm.Interp.instance * t
+val fork : t -> Analysis.t -> Wasm.Interp.instance * t
 (** Fork an instantiated runtime: a copy-on-write clone of its instance
     ([Wasm.Interp.fork]) paired with a fresh runtime owning its own hook
     host functions, analysis binding and indirect-call cache, sharing the
     immutable per-module work (metadata, [br_table] index, hook specs).
     Hook imports in the forked instance are rebound to the new runtime,
-    so its events dispatch to [analysis] (or reify into [sink]). The
+    so its events dispatch to [analysis]. The
     fork starts de-tiered; run [Wasm.Tier1.compile_all] on it for
     tier-1. This is the serve farm's per-worker setup step.
     @raise Invalid_argument if [t] was never instantiated. *)

@@ -1,6 +1,6 @@
-(** Serving-runtime tests: SPSC ring discipline, copy-on-write forks,
-    concurrent snapshot restore, sync/async dispatch equality, sharded
-    fuzzing determinism, and domain-safe observability primitives. *)
+(** Serving-runtime tests: copy-on-write forks, concurrent snapshot
+    restore, farm totals and event-stream faithfulness, sharded fuzzing
+    determinism, and domain-safe observability primitives. *)
 
 open Wasm
 module W = Wasabi
@@ -34,56 +34,6 @@ let instrumented src =
 let mix () =
   let st = Analyses.Instruction_mix.create () in
   (st, Analyses.Instruction_mix.analysis st)
-
-(* ------------------------------------------------------------------ *)
-(* Ring: FIFO order, wraparound, capacity rounding, blocking           *)
-(* ------------------------------------------------------------------ *)
-
-let test_ring_fifo () =
-  let r = S.Ring.create ~dummy:(-1) 5 in
-  Alcotest.(check int) "capacity rounds up to a power of two" 8 (S.Ring.capacity r);
-  Alcotest.(check bool) "empty try_pop" true (S.Ring.try_pop r = None);
-  (* several wraparounds through an 8-slot buffer; drain whenever the
-     ring fills — a single-domain pusher must never block on full *)
-  let next = ref 0 in
-  let pop_one msg =
-    match S.Ring.try_pop r with
-    | Some v ->
-      Alcotest.(check int) msg !next v;
-      incr next
-    | None -> Alcotest.fail "ring unexpectedly empty"
-  in
-  for i = 0 to 99 do
-    S.Ring.push r i;
-    if S.Ring.length r = S.Ring.capacity r then
-      for _ = 1 to 4 do
-        pop_one "FIFO order"
-      done
-  done;
-  while S.Ring.length r > 0 do
-    pop_one "FIFO order (tail)"
-  done;
-  Alcotest.(check int) "every element came out exactly once" 100 !next;
-  Alcotest.check_raises "zero capacity rejected"
-    (Invalid_argument "Ring.create: capacity must be positive") (fun () ->
-      ignore (S.Ring.create ~dummy:0 0))
-
-let test_ring_cross_domain () =
-  (* a tiny ring forces the producer to block on full and the consumer
-     to block on empty — the backpressure path, exercised cross-domain *)
-  let r = S.Ring.create ~dummy:(-1) 2 in
-  let n = 5000 in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 0 to n - 1 do
-          S.Ring.push r i
-        done)
-  in
-  for i = 0 to n - 1 do
-    Alcotest.(check int) "cross-domain FIFO" i (S.Ring.pop r)
-  done;
-  Domain.join producer;
-  Alcotest.(check bool) "ring drained" true (S.Ring.try_pop r = None)
 
 (* ------------------------------------------------------------------ *)
 (* Runtime.fork: isolation and equivalence                             *)
@@ -164,14 +114,14 @@ let test_concurrent_restore () =
     [ (false, false); (true, false); (false, true); (true, true) ]
 
 (* ------------------------------------------------------------------ *)
-(* Farm: totals, fault containment, async dispatch                     *)
+(* Farm: totals, fault containment, event-stream faithfulness         *)
 (* ------------------------------------------------------------------ *)
 
 let test_farm_sync_totals () =
   let res = instrumented workload_src in
   let states = Array.init 3 (fun _ -> Analyses.Instruction_mix.create ()) in
   let stats =
-    S.Farm.run ~mode:S.Farm.Sync ~domains:3 ~runs:10 ~entry:"run"
+    S.Farm.run ~domains:3 ~runs:10 ~entry:"run"
       ~make_analysis:(fun w -> Analyses.Instruction_mix.analysis states.(w))
       res
   in
@@ -193,39 +143,44 @@ let test_farm_sync_totals () =
 let test_farm_fault_containment () =
   let res = instrumented trap_src in
   let stats =
-    S.Farm.run ~mode:S.Farm.Sync ~domains:2 ~runs:6 ~entry:"run"
+    S.Farm.run ~domains:2 ~runs:6 ~entry:"run"
       ~make_analysis:(fun _ -> W.Analysis.default)
       res
   in
   Alcotest.(check int) "all runs served despite trapping" 6 stats.S.Farm.st_runs;
   Alcotest.(check int) "every trap contained by restore" 6 stats.S.Farm.st_faults
 
-let test_farm_async () =
-  let res = instrumented workload_src in
-  let states = Array.init 2 (fun _ -> Analyses.Instruction_mix.create ()) in
-  let stats =
-    S.Farm.run
-      ~mode:(S.Farm.Async { consumers = 1; capacity = 64 })
-      ~domains:2 ~runs:8 ~entry:"run"
-      ~make_analysis:(fun w -> Analyses.Instruction_mix.analysis states.(w))
-      res
-  in
-  Alcotest.(check int) "async serves every run" 8 stats.S.Farm.st_runs;
-  Alcotest.(check bool) "events were shipped through the rings" true
-    (stats.S.Farm.st_events > 0);
-  let total =
-    Analyses.Instruction_mix.total states.(0) + Analyses.Instruction_mix.total states.(1)
-  in
-  Alcotest.(check int) "consumer applied exactly the shipped events" stats.S.Farm.st_events
-    total
-
-let test_stream_equality () =
-  let res = instrumented workload_src in
-  Alcotest.(check bool) "async event stream ≡ sync reference" true
-    (S.Farm.verify_stream_equality ~runs:2 ~entry:"run" res);
-  let trap_res = instrumented trap_src in
-  Alcotest.(check bool) "stream equality holds across contained traps" true
-    (S.Farm.verify_stream_equality ~runs:2 ~entry:"run" trap_res)
+(* Every worker's analysis observes exactly the hook events of its own
+   runs, in order: a worker serving k runs logs k copies of what one
+   fresh instance logs for one run, contained traps included. *)
+let test_farm_stream_faithful () =
+  List.iter
+    (fun (label, src) ->
+       let res = instrumented src in
+       let reference =
+         let tr = Analyses.Trace.create () in
+         let inst, _rt = W.Runtime.instantiate res (Analyses.Trace.analysis tr) in
+         (try ignore (Interp.invoke_export inst "run" [] : Value.t list)
+          with e when S.Farm.is_contained e -> ());
+         Analyses.Trace.to_log tr
+       in
+       Alcotest.(check bool) (label ^ ": one run logs events") true (reference <> "");
+       let traces = Array.init 2 (fun _ -> Analyses.Trace.create ()) in
+       let stats =
+         S.Farm.run ~domains:2 ~runs:6 ~entry:"run"
+           ~make_analysis:(fun w -> Analyses.Trace.analysis traces.(w))
+           res
+       in
+       Alcotest.(check int) (label ^ ": every run served") 6 stats.S.Farm.st_runs;
+       (* static sharding: 6 runs over 2 workers is 3 each *)
+       Array.iteri
+         (fun w tr ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s: worker %d log = 3 × one fresh run's log" label w)
+              (String.concat "\n" (List.init 3 (fun _ -> reference)))
+              (Analyses.Trace.to_log tr))
+         traces)
+    [ ("workload", workload_src); ("trap", trap_src) ]
 
 (* ------------------------------------------------------------------ *)
 (* Sharded fuzzing determinism                                         *)
@@ -333,14 +288,11 @@ let test_instruction_mix_merge () =
 let suite =
   let case name f = Alcotest.test_case name `Quick f in
   [
-    case "ring: FIFO + wraparound + rounding" test_ring_fifo;
-    case "ring: cross-domain backpressure" test_ring_cross_domain;
     case "fork: isolation + equivalence" test_fork_isolation;
     case "snapshot: concurrent restore of one capture" test_concurrent_restore;
     case "farm: sync totals" test_farm_sync_totals;
     case "farm: fault containment" test_farm_fault_containment;
-    case "farm: async dispatch" test_farm_async;
-    case "farm: async ≡ sync event stream" test_stream_equality;
+    case "farm: served event stream is faithful" test_farm_stream_faithful;
     case "fuzz: --jobs determinism" test_fuzz_jobs_determinism;
     case "metrics: parallel exactness" test_metrics_parallel_exactness;
     case "span: parallel nesting" test_span_parallel_nesting;
