@@ -143,16 +143,26 @@ let rq2 () =
 (* Table 5: instrumentation time (RQ3)                                 *)
 (* ------------------------------------------------------------------ *)
 
+(** Minor-heap words one serial all-hooks [Instrument.instrument] of [m]
+    allocates, after a warm-up pass. Allocation, unlike time, repeats
+    exactly from run to run on a given compiler. *)
+let instrument_words (m : Ast.module_) =
+  ignore (W.Instrument.instrument m);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (W.Instrument.instrument m));
+  Gc.minor_words () -. w0
+
 let table5 () =
   Support.hr "Table 5: time to instrument (RQ3)";
-  Printf.printf "%-22s %12s %16s %10s\n" "Program" "Size (B)" "Time (ms)" "MB/s";
+  Printf.printf "%-22s %12s %16s %10s %9s\n" "Program" "Size (B)" "Time (ms)" "MB/s" "words/B";
   let reps = 5 in
   let row name (m : Ast.module_) =
     let size = String.length (Encode.encode m) in
     let mean_s, sd_s = Support.time_stats ~reps (fun () -> W.Instrument.instrument m) in
-    Printf.printf "%-22s %12d %9.2f ± %4.2f %10.2f\n" name size (mean_s *. 1000.0)
+    Printf.printf "%-22s %12d %9.2f ± %4.2f %10.2f %9.1f\n" name size (mean_s *. 1000.0)
       (sd_s *. 1000.0)
       (Support.mb size /. mean_s)
+      (instrument_words m /. float_of_int size)
   in
   let entries = Lazy.force corpus_static in
   let pb = Workloads.Corpus.polybench entries in
@@ -168,11 +178,15 @@ let table5 () =
          fst (Support.time_stats ~reps (fun () -> W.Instrument.instrument e.module_)))
       pb
   in
+  let words =
+    List.fold_left (fun acc (e : Workloads.Corpus.entry) -> acc +. instrument_words e.module_) 0.0 pb
+  in
   let avg_size = Support.mean (List.map float_of_int sizes) in
   let avg_time = Support.mean times in
-  Printf.printf "%-22s %12.0f %9.2f %17.2f\n" "PolyBench (avg of 30)" avg_size
+  Printf.printf "%-22s %12.0f %9.2f %17.2f %9.1f\n" "PolyBench (avg of 30)" avg_size
     (avg_time *. 1000.0)
-    (avg_size /. (1024.0 *. 1024.0) /. avg_time);
+    (avg_size /. (1024.0 *. 1024.0) /. avg_time)
+    (words /. float_of_int (List.fold_left ( + ) 0 sizes));
   List.iter
     (fun (e : Workloads.Corpus.entry) -> row e.name e.module_)
     (Workloads.Corpus.realworld entries);
@@ -198,6 +212,27 @@ let table5 () =
     (par /. serial);
   Printf.printf "  (paper: PolyBench 23 ms avg, PSPDFKit 5.1 s, Unreal 15.5 s;\n";
   Printf.printf "   throughput grows with binary size: 1.15 -> 2.55 MB/s)\n"
+
+(** CI gate on instrumentation allocation: the all-hooks pass over
+    pdfkit x1 and zen_garden x1 must allocate at most [max_words]
+    minor-heap words per input byte. Allocation is an exact count, so the
+    gate needs no noise margin beyond the headroom in its ceiling. *)
+let instrument_check max_words =
+  let entries = Workloads.Corpus.realworld (Lazy.force corpus_static) in
+  let failed = ref false in
+  List.iter
+    (fun (e : Workloads.Corpus.entry) ->
+       let size = String.length (Encode.encode e.module_) in
+       let wpb = instrument_words e.module_ /. float_of_int size in
+       Printf.printf "instrument-check: %-10s %8d B  %6.1f words/B (ceiling %.1f)\n" e.name size
+         wpb max_words;
+       if wpb > max_words then begin
+         Printf.eprintf "instrument-check: FAIL — %s allocates %.1f words/B, above %.1f\n" e.name
+           wpb max_words;
+         failed := true
+       end)
+    entries;
+  if !failed then exit 1 else print_endline "instrument-check: OK"
 
 (* ------------------------------------------------------------------ *)
 (* Figure 8: code size increase per hook (RQ4)                         *)
@@ -967,6 +1002,13 @@ let () =
      | _ ->
        Printf.eprintf "tier-check: MIN_SPEEDUP must be a positive number, got %S\n" floor;
        exit 2)
+  | [| _; "instrument-check"; ceiling |] ->
+    (match float_of_string_opt ceiling with
+     | Some f when f > 0.0 -> instrument_check f
+     | _ ->
+       Printf.eprintf "instrument-check: MAX_WORDS_PER_BYTE must be a positive number, got %S\n"
+         ceiling;
+       exit 2)
   | [| _; "encode" |] -> encode_bench ()
   | [| _; "restore" |] -> restore_bench ()
   | [| _; "serve" |] -> serve_bench None
@@ -979,5 +1021,5 @@ let () =
        exit 2)
   | _ ->
     prerr_endline
-      "usage: main.exe [table4|rq2|table5|fig8|monomorph|fig9|ablation|micro|interp|static|encode|restore|serve [--json FILE]|serve-check MIN_SCALING|overhead [--matrix three-way] [FILE]|overhead-check BASELINE|tier-check MIN_SPEEDUP]";
+      "usage: main.exe [table4|rq2|table5|fig8|monomorph|fig9|ablation|micro|interp|static|encode|restore|serve [--json FILE]|serve-check MIN_SCALING|instrument-check MAX_WORDS_PER_BYTE|overhead [--matrix three-way] [FILE]|overhead-check BASELINE|tier-check MIN_SPEEDUP]";
     exit 2

@@ -67,6 +67,32 @@ let group_name = function
   | G_br_table -> "br_table"
   | G_start -> "start"
 
+(** One bit per group (its position in {!all_groups}), so a group set
+    can be tested as an int mask. *)
+let group_bit = function
+  | G_nop -> 1 lsl 0
+  | G_unreachable -> 1 lsl 1
+  | G_memory_size -> 1 lsl 2
+  | G_memory_grow -> 1 lsl 3
+  | G_select -> 1 lsl 4
+  | G_drop -> 1 lsl 5
+  | G_load -> 1 lsl 6
+  | G_store -> 1 lsl 7
+  | G_call -> 1 lsl 8
+  | G_return -> 1 lsl 9
+  | G_const -> 1 lsl 10
+  | G_unary -> 1 lsl 11
+  | G_binary -> 1 lsl 12
+  | G_global -> 1 lsl 13
+  | G_local -> 1 lsl 14
+  | G_begin -> 1 lsl 15
+  | G_end -> 1 lsl 16
+  | G_if -> 1 lsl 17
+  | G_br -> 1 lsl 18
+  | G_br_if -> 1 lsl 19
+  | G_br_table -> 1 lsl 20
+  | G_start -> 1 lsl 21
+
 let group_of_name s =
   match List.find_opt (fun g -> group_name g = s) all_groups with
   | Some g -> g

@@ -37,6 +37,9 @@ val group_name : group -> string
 val group_of_name : string -> group
 (** @raise Invalid_argument on unknown names. *)
 
+val group_bit : group -> int
+(** A distinct bit per group, for testing group sets as an int mask. *)
+
 module Group_set : Set.S with type elt = group
 
 val all : Group_set.t

@@ -41,23 +41,86 @@ type ctrl_entry = {
   ce_end : int;  (** instruction index of the matching [End]; body length for the function *)
 }
 
+(* Instructions are immutable values, so the rewriter shares them: the
+   output body reuses the input's own instructions, and the instructions
+   it adds come from the tables below, one value per index. Nothing may
+   rely on the physical identity of an instruction. *)
+
+(** The instructions [mk k] for small non-negative [k], each built on
+    first use and shared afterwards; the array grows on demand. Larger
+    indices are built afresh. *)
+type shared = {
+  mutable tbl : instr array;  (** [Nop] marks an entry not built yet *)
+  mk : int -> instr;
+}
+
+let shared_limit = 1 lsl 16
+
+let shared mk = { tbl = [||]; mk }
+
+let get_shared s k =
+  if k < 0 || k >= shared_limit then s.mk k
+  else begin
+    if k >= Array.length s.tbl then begin
+      let n = ref (max 64 (Array.length s.tbl)) in
+      while !n <= k do n := 2 * !n done;
+      let tbl = Array.make (min !n shared_limit) Nop in
+      Array.blit s.tbl 0 tbl 0 (Array.length s.tbl);
+      s.tbl <- tbl
+    end;
+    match Array.unsafe_get s.tbl k with
+    | Nop ->
+      let i = s.mk k in
+      Array.unsafe_set s.tbl k i;
+      i
+    | i -> i
+  end
+
+(** The shared instructions of one [instrument] call. Each instrumenting
+    domain has its own set: the tables are not synchronised, and they die
+    with the call, so they never outlive one module. *)
+type interns = {
+  consts : shared;  (** [Const (I32 k)]: location, label and immediate arguments *)
+  gets : shared;  (** [LocalGet k] *)
+  sets : shared;  (** [LocalSet k] *)
+  tees : shared;  (** [LocalTee k] *)
+  hook_calls : shared;  (** [Call (placeholder_base + k)]: a call of hook [k] *)
+}
+
+let make_interns ~placeholder_base = {
+  consts = shared (fun k -> Const (Value.i32_of_int k));
+  gets = shared (fun k -> LocalGet k);
+  sets = shared (fun k -> LocalSet k);
+  tees = shared (fun k -> LocalTee k);
+  hook_calls = shared (fun k -> Call (placeholder_base + k));
+}
+
+(** A hook requested by the function being instrumented: its ordinal in
+    the shared map and how many sites of this function call it. *)
+type hook_entry = {
+  ord : int;
+  mutable reqs : int;
+}
+
 type fctx = {
   fidx : int;  (** function-space index of the function being instrumented *)
-  groups : Hook.Group_set.t;
+  mask : int;  (** {!Hook.group_bit}s of the enabled groups *)
   hooks : Hook.Map.t;
-  placeholder_base : int;  (** hook k is called as function [placeholder_base + k] *)
+  sh : interns;
   tracker : Tracker.t;
   mutable ctrl : ctrl_entry list;
-  temp_tbl : (value_type * int, int) Hashtbl.t;
-  hook_cache : (Hook.spec, int) Hashtbl.t;
-      (** per-function cache over the shared, mutex-guarded map *)
-  req_counts : (Hook.spec, int ref) Hashtbl.t;
-      (** hook requests by this function, flushed to the shared map in one
-          batch when the function is done (monomorphization-cache stats) *)
+  mutable temps : int array;
+      (** local index of the temporary for (slot, type) at
+          [4 * slot + type_slot type]; -1 until first use *)
+  hook_tbl : (Hook.spec, hook_entry) Hashtbl.t;
+      (** per-function cache over the shared, mutex-guarded map; the
+          request counts are flushed to the map in one batch when the
+          function is done (monomorphization-cache stats) *)
   mutable extra_locals : value_type list;  (** reversed *)
   mutable n_extra : int;
   first_temp : int;
   split_i64 : bool;
+  mutable out : instr list;  (** the instrumented body so far, reversed *)
   mutable br_tables : Metadata.br_table_info list;
   mutable dead_skipped : int list;
       (** instruction indices where instrumentation was skipped because the
@@ -70,49 +133,72 @@ type fctx = {
           [(at, Some vs)] = hook value arguments proven constant *)
 }
 
-(** A branch/return in statically-unreachable code: its operand types are
-    polymorphic, so no hook arguments can be materialised. The site is
-    recorded so the lint can surface it instead of a silent fallthrough. *)
-let skip_dead c ~at plain =
-  c.dead_skipped <- at :: c.dead_skipped;
-  plain
+let enabled c g = c.mask land Hook.group_bit g <> 0
 
-let enabled c g = Hook.Group_set.mem g c.groups
+let emit c i = c.out <- i :: c.out
+
+let const_minus_one = Const (Value.I32 (-1l))
+
+let iconst c k = if k = -1 then const_minus_one else get_shared c.sh.consts k
+let local_get c l = get_shared c.sh.gets l
+let local_set c l = get_shared c.sh.sets l
+let local_tee c l = get_shared c.sh.tees l
+
+let type_slot = function I32T -> 0 | I64T -> 1 | F32T -> 2 | F64T -> 3
 
 (** Fresh (or reused) local of type [ty]; [slot] distinguishes temporaries
     that must coexist within one instrumented instruction. Temporaries are
     reused across instructions, so each function gains only a handful of
     locals. *)
 let temp c ty slot =
-  match Hashtbl.find_opt c.temp_tbl (ty, slot) with
-  | Some i -> i
-  | None ->
+  let k = (4 * slot) + type_slot ty in
+  if k >= Array.length c.temps then begin
+    let temps = Array.make (max (k + 1) (2 * Array.length c.temps)) (-1) in
+    Array.blit c.temps 0 temps 0 (Array.length c.temps);
+    c.temps <- temps
+  end;
+  match c.temps.(k) with
+  | -1 ->
     let i = c.first_temp + c.n_extra in
     c.n_extra <- c.n_extra + 1;
     c.extra_locals <- ty :: c.extra_locals;
-    Hashtbl.add c.temp_tbl (ty, slot) i;
+    c.temps.(k) <- i;
     i
+  | i -> i
 
-let iconst k = Const (Value.i32_of_int k)
+(** A branch/return in statically-unreachable code: its operand types are
+    polymorphic, so no hook arguments can be materialised. The site is
+    recorded so the lint can surface it instead of a silent fallthrough. *)
+let skip_dead c ~at ins =
+  c.dead_skipped <- at :: c.dead_skipped;
+  emit c ins
 
 (** Push the value held in local [l] (of type [ty]) as hook argument(s):
     i64 values are split into low and high i32 halves (Table 3, row 6)
     unless splitting is disabled (native-host ablation). *)
-let push_local ?(split = true) ty l =
-  match ty with
-  | I64T when split ->
-    [ LocalGet l; Convert I32WrapI64;
-      LocalGet l; Const (Value.I64 32L); Binary (IBin (S64, ShrS)); Convert I32WrapI64 ]
-  | _ -> [ LocalGet l ]
+let push_local c ty l =
+  let get = local_get c l in
+  emit c get;
+  if ty = I64T && c.split_i64 then begin
+    emit c (Convert I32WrapI64);
+    emit c get;
+    emit c (Const (Value.I64 32L));
+    emit c (Binary (IBin (S64, ShrS)));
+    emit c (Convert I32WrapI64)
+  end
 
-(** Push an immediate as hook argument(s); for i64 the paper's row 6
-    sequence (duplicate, wrap / shift, wrap) is emitted. *)
-let push_const_split ?(split = true) v =
-  match v with
-  | Value.I64 _ when split ->
-    [ Const v; Convert I32WrapI64;
-      Const v; Const (Value.I64 32L); Binary (IBin (S64, ShrS)); Convert I32WrapI64 ]
-  | _ -> [ Const v ]
+(** Push the constant instruction [k] as hook argument(s); for i64 the
+    paper's row 6 sequence (duplicate, wrap / shift, wrap) is emitted. *)
+let push_const c k =
+  emit c k;
+  match k with
+  | Const (Value.I64 _) when c.split_i64 ->
+    emit c (Convert I32WrapI64);
+    emit c k;
+    emit c (Const (Value.I64 32L));
+    emit c (Binary (IBin (S64, ShrS)));
+    emit c (Convert I32WrapI64)
+  | _ -> ()
 
 (** Hook value arguments provable constant at instruction [at] from
     whole-module abstract-interpretation facts, in hook-argument order.
@@ -151,22 +237,46 @@ let fold_args c ~at ins =
 
 let record_fold c ~at vs = c.folded <- (at, Some vs) :: c.folded
 
-(** Call hook [spec] at source location [at], with [args] already
-    flattened (each element pushes the corresponding hook arguments). *)
-let hook_ordinal c spec =
-  (match Hashtbl.find_opt c.req_counts spec with
-   | Some r -> incr r
-   | None -> Hashtbl.add c.req_counts spec (ref 1));
-  match Hashtbl.find_opt c.hook_cache spec with
-  | Some k -> k
-  | None ->
-    let k = Hook.Map.ordinal c.hooks spec in
-    Hashtbl.add c.hook_cache spec k;
-    k
+(** The entry of hook [spec], asking the shared map for its ordinal on
+    the function's first request (which generates the hook if no
+    function asked before). *)
+let hook_entry c spec =
+  match Hashtbl.find c.hook_tbl spec with
+  | e -> e
+  | exception Not_found ->
+    let e = { ord = Hook.Map.ordinal c.hooks spec; reqs = 0 } in
+    Hashtbl.add c.hook_tbl spec e;
+    e
 
-let hook_call c ~at spec args =
-  let k = hook_ordinal c spec in
-  (iconst c.fidx :: iconst at :: List.concat args) @ [ Call (c.placeholder_base + k) ]
+(** A hook call is emitted in three steps: [hook_open] pushes the two
+    location arguments, the caller pushes the hook's own arguments, and
+    [hook_close] emits the call of hook [spec]. *)
+let hook_open c ~at =
+  emit c (iconst c c.fidx);
+  emit c (iconst c at)
+
+let hook_close c spec =
+  let e = hook_entry c spec in
+  e.reqs <- e.reqs + 1;
+  emit c (get_shared c.sh.hook_calls e.ord)
+
+(** A call of a hook that takes no arguments beyond its location. *)
+let hook_call c ~at spec =
+  hook_open c ~at;
+  hook_close c spec
+
+(** A call of a hook whose one argument is pushed by [arg]. *)
+let hook_call1 c ~at spec arg =
+  hook_open c ~at;
+  emit c arg;
+  hook_close c spec
+
+(** Save the i32 on top of the stack to a temporary, leaving it in place;
+    returns the instruction that pushes it again. *)
+let tee_i32 c =
+  let t = temp c I32T 0 in
+  emit c (local_tee c t);
+  local_get c t
 
 (** Instruction index executed next if a branch to [e] is taken. *)
 let target_instr (e : ctrl_entry) =
@@ -176,13 +286,15 @@ let target_instr (e : ctrl_entry) =
   | Hook.Bblock | Hook.Bif | Hook.Belse -> e.ce_end + 1
 
 let ctrl_at c l =
-  match List.nth_opt c.ctrl l with
-  | Some e -> e
-  | None -> invalid_arg (Printf.sprintf "branch label %d exceeds control stack" l)
+  let rec go l = function
+    | e :: _ when l = 0 -> e
+    | _ :: rest -> go (l - 1) rest
+    | [] -> invalid_arg (Printf.sprintf "branch label %d exceeds control stack" l)
+  in
+  go l c.ctrl
 
 let resolve_target c l : Metadata.target =
-  let e = ctrl_at c l in
-  { Metadata.label = l; target_loc = Location.make ~func:c.fidx ~instr:(target_instr e) }
+  { Metadata.label = l; target_loc = Location.make ~func:c.fidx ~instr:(target_instr (ctrl_at c l)) }
 
 (** Blocks exited by a taken branch with label [l]: control-stack entries
     0..l, innermost first (paper, Section 2.4.5). *)
@@ -193,270 +305,294 @@ let ended_blocks c l =
       eb_end_loc = Location.make ~func:c.fidx ~instr:e.ce_end;
       eb_begin_instr = e.ce_begin })
 
-(** Explicit calls to the [end] hooks of all blocks a branch jumps out of. *)
-let end_hook_calls c (ended : Metadata.ended_block list) =
-  List.concat_map
-    (fun (eb : Metadata.ended_block) ->
-       hook_call c ~at:eb.Metadata.eb_end_loc.Location.instr (Hook.S_end eb.eb_kind)
-         [ [ iconst eb.eb_begin_instr ] ])
-    ended
+let end_spec = function
+  | Bfunction -> S_end Bfunction
+  | Bblock -> S_end Bblock
+  | Bloop -> S_end Bloop
+  | Bif -> S_end Bif
+  | Belse -> S_end Belse
 
-let known_peek c n =
-  match Tracker.peek c.tracker n with
-  | Validate.Known t -> Some t
-  | Validate.Unknown -> None
+(** Apply [f] to the control-stack entries a taken branch with label [l]
+    exits, innermost first. *)
+let iter_ended c l f =
+  let rec go i = function
+    | e :: rest when i <= l ->
+      f e;
+      go (i + 1) rest
+    | _ -> ()
+  in
+  go 0 c.ctrl
+
+(** Explicit calls to the [end] hooks of all blocks a branch with label
+    [l] jumps out of. *)
+let end_hook_calls c l =
+  iter_ended c l (fun e -> hook_call1 c ~at:e.ce_end (end_spec e.ce_kind) (iconst c e.ce_begin))
+
+(** The [br]/[br_if] hook's location, label and target arguments. *)
+let open_branch_hook c ~at l =
+  hook_open c ~at;
+  emit c (iconst c l);
+  emit c (iconst c (target_instr (ctrl_at c l)))
+
+let push_ctrl c kind ~at (jumps : Interp.jump_info) =
+  c.ctrl <- { ce_kind = kind; ce_begin = at; ce_end = jumps.Interp.end_of.(at) } :: c.ctrl
+
+let pop_ctrl c what =
+  match c.ctrl with
+  | e :: rest ->
+    c.ctrl <- rest;
+    e
+  | [] -> invalid_arg what
 
 (** The save / call-pre / restore / call / save / call-post / restore
-    sequence for direct and indirect calls (Table 3, row 3). *)
-let instrument_call c ~at ~(ft : func_type) ~callee_arg ~indirect ~original =
+    sequence for direct and indirect calls (Table 3, row 3). [callee] is
+    the direct callee's index; an indirect call instead passes the table
+    index it pops, saved to a temporary. *)
+let instrument_call c ~at ~(ft : func_type) ~callee ~indirect ~original =
   let n = List.length ft.params in
-  let param_temps = List.mapi (fun j ty -> (ty, temp c ty j)) ft.params in
-  let saves = List.rev_map (fun (_, t) -> LocalSet t) param_temps in
-  let restores = List.map (fun (_, t) -> LocalGet t) param_temps in
-  let arg_pushes = List.map (fun (ty, t) -> push_local ~split:c.split_i64 ty t) param_temps in
-  let idx_save, idx_restore, idx_push =
-    if indirect then
-      let ti = temp c I32T n in
-      ([ LocalSet ti ], [ LocalGet ti ], [ LocalGet ti ])
-    else ([], [], callee_arg)
+  List.iteri (fun j ty -> ignore (temp c ty j)) ft.params;
+  let ti = if indirect then temp c I32T n else -1 in
+  if indirect then emit c (local_set c ti);
+  (* the arguments are popped last one first *)
+  let rec saves j = function
+    | [] -> ()
+    | ty :: rest ->
+      saves (j + 1) rest;
+      emit c (local_set c (temp c ty j))
   in
-  let pre_hook =
-    hook_call c ~at (Hook.S_call_pre (ft.params, indirect)) (idx_push :: arg_pushes)
-  in
-  let post =
-    match ft.results with
-    | [] -> hook_call c ~at (Hook.S_call_post []) []
-    | [ rt ] ->
-      let tr = temp c rt (n + 1) in
-      LocalTee tr :: hook_call c ~at (Hook.S_call_post [ rt ]) [ push_local ~split:c.split_i64 rt tr ]
-    | _ -> invalid_arg "multiple results not supported"
-  in
-  idx_save @ saves @ pre_hook @ restores @ idx_restore @ [ original ] @ post
+  saves 0 ft.params;
+  hook_open c ~at;
+  emit c (if indirect then local_get c ti else iconst c callee);
+  List.iteri (fun j ty -> push_local c ty (temp c ty j)) ft.params;
+  hook_close c (Hook.S_call_pre (ft.params, indirect));
+  List.iteri (fun j ty -> emit c (local_get c (temp c ty j))) ft.params;
+  if indirect then emit c (local_get c ti);
+  emit c original;
+  match ft.results with
+  | [] -> hook_call c ~at (Hook.S_call_post [])
+  | [ rt ] ->
+    let tr = temp c rt (n + 1) in
+    emit c (local_tee c tr);
+    hook_open c ~at;
+    push_local c rt tr;
+    hook_close c (Hook.S_call_post ft.results)
+  | _ -> invalid_arg "multiple results not supported"
 
-(** Instrument one original instruction at index [at], returning the
-    replacement sequence. Must be called before [Tracker.step] for this
-    instruction (it inspects the abstract stack), and takes care of the
-    control-stack bookkeeping itself. *)
-let instrument_instr_live c ~at (ins : instr) (jumps : Interp.jump_info) : instr list =
-  let plain = [ ins ] in
+(** How a [return] hook receives the returned value. *)
+type ret_arg =
+  | No_arg  (** no result, or no [return] hook *)
+  | Folded of Value.t  (** proven constant: passed as an immediate *)
+  | Saved of value_type * int  (** saved to a temporary around the hooks *)
+
+(** Emit the instrumented replacement of the original instruction at index
+    [at]. Must be called before [Tracker.step] for this instruction (it
+    inspects the abstract stack), and takes care of the control-stack
+    bookkeeping itself. *)
+let instrument_instr_live c ~at (ins : instr) (jumps : Interp.jump_info) =
   match ins with
   | Nop ->
-    if enabled c G_nop then ins :: hook_call c ~at S_nop [] else plain
+    emit c ins;
+    if enabled c G_nop then hook_call c ~at S_nop
   | Unreachable ->
-    if enabled c G_unreachable then hook_call c ~at S_unreachable [] @ plain else plain
+    if enabled c G_unreachable then hook_call c ~at S_unreachable;
+    emit c ins
   | Block _ ->
-    c.ctrl <- { ce_kind = Bblock; ce_begin = at; ce_end = jumps.Interp.end_of.(at) } :: c.ctrl;
-    if enabled c G_begin then ins :: hook_call c ~at (S_begin Bblock) [] else plain
+    push_ctrl c Bblock ~at jumps;
+    emit c ins;
+    if enabled c G_begin then hook_call c ~at (S_begin Bblock)
   | Loop _ ->
-    c.ctrl <- { ce_kind = Bloop; ce_begin = at; ce_end = jumps.Interp.end_of.(at) } :: c.ctrl;
+    push_ctrl c Bloop ~at jumps;
+    emit c ins;
     (* the hook sits inside the loop: it fires once per iteration *)
-    if enabled c G_begin then ins :: hook_call c ~at (S_begin Bloop) [] else plain
+    if enabled c G_begin then hook_call c ~at (S_begin Bloop)
   | If _ ->
-    let cond_hook =
-      if enabled c G_if then
-        match fold_args c ~at ins with
-        | Some [ k ] ->
-          (* constant condition: pass it as an immediate, no duplication *)
-          record_fold c ~at [ k ];
-          hook_call c ~at S_if_cond [ [ Const k ] ]
-        | _ ->
-          (match known_peek c 0 with
-           | Some _ ->
-             let tc = temp c I32T 0 in
-             LocalTee tc :: hook_call c ~at S_if_cond [ [ LocalGet tc ] ]
-           | None -> [])
-      else []
-    in
-    c.ctrl <- { ce_kind = Bif; ce_begin = at; ce_end = jumps.Interp.end_of.(at) } :: c.ctrl;
-    let begin_hook = if enabled c G_begin then hook_call c ~at (S_begin Bif) [] else [] in
-    cond_hook @ [ ins ] @ begin_hook
+    if enabled c G_if then begin
+      match fold_args c ~at ins with
+      | Some [ k ] ->
+        (* constant condition: pass it as an immediate, no duplication *)
+        record_fold c ~at [ k ];
+        hook_call1 c ~at S_if_cond (Const k)
+      | _ ->
+        (match Tracker.peek c.tracker 0 with
+         | Validate.Known _ -> hook_call1 c ~at S_if_cond (tee_i32 c)
+         | Validate.Unknown -> ())
+    end;
+    push_ctrl c Bif ~at jumps;
+    emit c ins;
+    if enabled c G_begin then hook_call c ~at (S_begin Bif)
   | Else ->
-    let e, rest =
-      match c.ctrl with
-      | e :: rest -> (e, rest)
-      | [] -> invalid_arg "else without open block"
-    in
+    let e = pop_ctrl c "else without open block" in
     (* the then-branch ends here; the else-branch begins *)
-    c.ctrl <- { e with ce_kind = Belse; ce_begin = at } :: rest;
-    let end_hook =
-      if enabled c G_end then hook_call c ~at (S_end Bif) [ [ iconst e.ce_begin ] ] else []
-    in
-    let begin_hook = if enabled c G_begin then hook_call c ~at (S_begin Belse) [] else [] in
-    end_hook @ [ ins ] @ begin_hook
+    c.ctrl <- { e with ce_kind = Belse; ce_begin = at } :: c.ctrl;
+    if enabled c G_end then hook_call1 c ~at (S_end Bif) (iconst c e.ce_begin);
+    emit c ins;
+    if enabled c G_begin then hook_call c ~at (S_begin Belse)
   | End ->
-    let e, rest =
-      match c.ctrl with
-      | e :: rest -> (e, rest)
-      | [] -> invalid_arg "unbalanced end"
-    in
-    c.ctrl <- rest;
-    let kind = e.ce_kind in
-    if enabled c G_end then
-      hook_call c ~at (S_end kind) [ [ iconst e.ce_begin ] ] @ [ ins ]
-    else plain
+    let e = pop_ctrl c "unbalanced end" in
+    if enabled c G_end then hook_call1 c ~at (end_spec e.ce_kind) (iconst c e.ce_begin);
+    emit c ins
   | Br l ->
-    let br_hook =
-      if enabled c G_br then
-        let t = resolve_target c l in
-        hook_call c ~at S_br [ [ iconst l ]; [ iconst t.Metadata.target_loc.Location.instr ] ]
-      else []
-    in
-    let ends = if enabled c G_end then end_hook_calls c (ended_blocks c l) else [] in
-    br_hook @ ends @ plain
+    if enabled c G_br then begin
+      open_branch_hook c ~at l;
+      hook_close c S_br
+    end;
+    if enabled c G_end then end_hook_calls c l;
+    emit c ins
   | BrIf l ->
-    let need_cond = enabled c G_br_if || enabled c G_end in
-    if not need_cond then plain
-    else begin
+    if enabled c G_br_if || enabled c G_end then begin
       match fold_args c ~at ins with
       | Some [ Value.I32 k as kv ] ->
         (* constant condition: the branch outcome is statically decided,
            so the end hooks need no runtime guard *)
         record_fold c ~at [ kv ];
-        let hook =
-          if enabled c G_br_if then
-            let t = resolve_target c l in
-            hook_call c ~at S_br_if
-              [ [ iconst l ];
-                [ iconst t.Metadata.target_loc.Location.instr ];
-                [ Const kv ] ]
-          else []
-        in
-        let ends =
-          if enabled c G_end && k <> 0l then end_hook_calls c (ended_blocks c l)
-          else []
-        in
-        hook @ ends @ plain
+        if enabled c G_br_if then begin
+          open_branch_hook c ~at l;
+          emit c (Const kv);
+          hook_close c S_br_if
+        end;
+        if enabled c G_end && k <> 0l then end_hook_calls c l;
+        emit c ins
       | _ ->
-      match known_peek c 0 with
-      | None -> skip_dead c ~at plain
-      | Some _ ->
-        let tc = temp c I32T 0 in
-        let hook =
-          if enabled c G_br_if then
-            let t = resolve_target c l in
-            hook_call c ~at S_br_if
-              [ [ iconst l ];
-                [ iconst t.Metadata.target_loc.Location.instr ];
-                [ LocalGet tc ] ]
-          else []
-        in
-        let ends =
-          if enabled c G_end then
-            match end_hook_calls c (ended_blocks c l) with
-            | [] -> []
-            | calls -> (LocalGet tc :: If None :: calls) @ [ End ]
-          else []
-        in
-        (LocalTee tc :: hook) @ ends @ plain
+      match Tracker.peek c.tracker 0 with
+      | Validate.Unknown -> skip_dead c ~at ins
+      | Validate.Known _ ->
+        let cond = tee_i32 c in
+        if enabled c G_br_if then begin
+          open_branch_hook c ~at l;
+          emit c cond;
+          hook_close c S_br_if
+        end;
+        if enabled c G_end then begin
+          emit c cond;
+          emit c (If None);
+          end_hook_calls c l;
+          emit c End
+        end;
+        emit c ins
     end
+    else emit c ins
   | BrTable (ls, d) ->
-    let entry l = (resolve_target c l, ended_blocks c l) in
-    let info =
-      { Metadata.bt_loc = Location.make ~func:c.fidx ~instr:at;
-        bt_targets = Array.of_list (List.map entry ls);
-        bt_default = entry d }
-    in
     if enabled c G_br_table || enabled c G_end then begin
-      match known_peek c 0 with
-      | None -> skip_dead c ~at plain
-      | Some _ ->
-        c.br_tables <- info :: c.br_tables;
+      match Tracker.peek c.tracker 0 with
+      | Validate.Unknown -> skip_dead c ~at ins
+      | Validate.Known _ ->
+        let entry l = (resolve_target c l, ended_blocks c l) in
+        c.br_tables <-
+          { Metadata.bt_loc = Location.make ~func:c.fidx ~instr:at;
+            bt_targets = Array.of_list (List.map entry ls);
+            bt_default = entry d }
+          :: c.br_tables;
         (* end hooks are selected and called at runtime from the metadata *)
         (match fold_args c ~at ins with
          | Some [ kv ] ->
            record_fold c ~at [ kv ];
-           hook_call c ~at S_br_table [ [ Const kv ] ] @ plain
-         | _ ->
-           let ti = temp c I32T 0 in
-           (LocalTee ti :: hook_call c ~at S_br_table [ [ LocalGet ti ] ]) @ plain)
+           hook_call1 c ~at S_br_table (Const kv)
+         | _ -> hook_call1 c ~at S_br_table (tee_i32 c));
+        emit c ins
     end
-    else plain
+    else emit c ins
   | Return ->
     let want_ret = enabled c G_return in
     let want_end = enabled c G_end in
-    if not (want_ret || want_end) then plain
+    if not (want_ret || want_end) then emit c ins
     else begin
       let results = (Tracker.results c.tracker : value_type list) in
-      (* the end-hook calls are stack neutral, so the result value only
-         needs saving around the return hook itself *)
-      let save_restore_hook =
+      let arg =
         match results with
-        | [] -> Some ([], [], fun () -> hook_call c ~at (Hook.S_return []) [])
-        | _ when not want_ret -> Some ([], [], fun () -> [])
+        | [] -> Some No_arg
+        | _ when not want_ret -> Some No_arg
         | [ rt ] ->
           (match fold_args c ~at ins with
            | Some [ v ] ->
              (* constant result: no save/restore around the hook *)
              record_fold c ~at [ v ];
-             Some
-               ( [], [],
-                 fun () ->
-                   hook_call c ~at (Hook.S_return [ rt ])
-                     [ push_const_split ~split:c.split_i64 v ] )
+             Some (Folded v)
            | _ ->
-           match known_peek c 0 with
-           | None ->
-             c.dead_skipped <- at :: c.dead_skipped;
-             None
-           | Some _ ->
-             let tr = temp c rt 0 in
-             Some
-               ( [ LocalSet tr ],
-                 [ LocalGet tr ],
-                 fun () ->
-                   hook_call c ~at (Hook.S_return [ rt ])
-                     [ push_local ~split:c.split_i64 rt tr ] ))
+           match Tracker.peek c.tracker 0 with
+           | Validate.Unknown -> None
+           | Validate.Known _ -> Some (Saved (rt, temp c rt 0)))
         | _ -> invalid_arg "multiple results not supported"
       in
-      match save_restore_hook with
-      | None -> plain
-      | Some (save, restore, make_ret_hook) ->
-        let ends =
-          if want_end then end_hook_calls c (ended_blocks c (List.length c.ctrl - 1))
-          else []
-        in
-        let hook = if want_ret then make_ret_hook () else [] in
-        if hook = [] && ends = [] then plain
-        else save @ hook @ ends @ restore @ plain
+      match arg with
+      | None -> skip_dead c ~at ins
+      | Some arg ->
+        let ret_depth = List.length c.ctrl - 1 in
+        (* hooks are numbered in order of first request, and the end
+           hooks are requested before the return hook *)
+        if want_ret && want_end then
+          iter_ended c ret_depth (fun e -> ignore (hook_entry c (end_spec e.ce_kind)));
+        (* the end-hook calls are stack neutral, so the result value only
+           needs saving around the return hook itself *)
+        (match arg with Saved (_, tr) -> emit c (local_set c tr) | _ -> ());
+        if want_ret then begin
+          hook_open c ~at;
+          (match arg with
+           | Folded v -> push_const c (Const v)
+           | Saved (rt, tr) -> push_local c rt tr
+           | No_arg -> ());
+          hook_close c (Hook.S_return results)
+        end;
+        if want_end then end_hook_calls c ret_depth;
+        (match arg with Saved (_, tr) -> emit c (local_get c tr) | _ -> ());
+        emit c ins
     end
   | Call f ->
     if enabled c G_call then
-      let ft = Tracker.func_type c.tracker f in
-      instrument_call c ~at ~ft ~callee_arg:[ iconst f ] ~indirect:false ~original:ins
-    else plain
+      instrument_call c ~at ~ft:(Tracker.func_type c.tracker f) ~callee:f ~indirect:false
+        ~original:ins
+    else emit c ins
   | CallIndirect ti ->
     if enabled c G_call then
-      let ft = Tracker.type_at c.tracker ti in
-      instrument_call c ~at ~ft ~callee_arg:[] ~indirect:true ~original:ins
-    else plain
+      instrument_call c ~at ~ft:(Tracker.type_at c.tracker ti) ~callee:(-1) ~indirect:true
+        ~original:ins
+    else emit c ins
   | Drop ->
     if enabled c G_drop then
-      match known_peek c 0 with
-      | None -> plain
-      | Some ty ->
+      match Tracker.peek c.tracker 0 with
+      | Validate.Unknown -> emit c ins
+      | Validate.Known ty ->
         (match fold_args c ~at ins with
          | Some [ v ] ->
            record_fold c ~at [ v ];
-           ins :: hook_call c ~at (S_drop ty) [ push_const_split ~split:c.split_i64 v ]
+           emit c ins;
+           hook_open c ~at;
+           push_const c (Const v)
          | _ ->
            let t = temp c ty 0 in
            (* the hook consumes the value in place of the drop (Table 3, row 4) *)
-           LocalSet t :: hook_call c ~at (S_drop ty) [ push_local ~split:c.split_i64 ty t ])
-    else plain
+           emit c (local_set c t);
+           hook_open c ~at;
+           push_local c ty t);
+        hook_close c (S_drop ty)
+    else emit c ins
   | Select ->
-    if enabled c G_select then
-      match known_peek c 1, known_peek c 2 with
-      | Some ty, _ | _, Some ty ->
-        let tc = temp c I32T 0 in
-        let t2 = temp c ty 1 in
-        let t1 = temp c ty 2 in
-        [ LocalSet tc; LocalSet t2; LocalSet t1 ]
-        @ hook_call c ~at (S_select ty)
-            [ [ LocalGet tc ]; push_local ~split:c.split_i64 ty t1; push_local ~split:c.split_i64 ty t2 ]
-        @ [ LocalGet t1; LocalGet t2; LocalGet tc; Select ]
-      | None, None -> plain
-    else plain
+    let ty =
+      if not (enabled c G_select) then None
+      else
+        match Tracker.peek c.tracker 1, Tracker.peek c.tracker 2 with
+        | Validate.Known ty, _ | _, Validate.Known ty -> Some ty
+        | Validate.Unknown, Validate.Unknown -> None
+    in
+    (match ty with
+     | None -> emit c ins
+     | Some ty ->
+       let tc = temp c I32T 0 in
+       let t2 = temp c ty 1 in
+       let t1 = temp c ty 2 in
+       emit c (local_set c tc);
+       emit c (local_set c t2);
+       emit c (local_set c t1);
+       hook_open c ~at;
+       emit c (local_get c tc);
+       push_local c ty t1;
+       push_local c ty t2;
+       hook_close c (S_select ty);
+       emit c (local_get c t1);
+       emit c (local_get c t2);
+       emit c (local_get c tc);
+       emit c ins)
   | LocalGet x | LocalSet x | LocalTee x ->
+    emit c ins;
     if enabled c G_local then begin
       let ty = Tracker.local_type c.tracker x in
       let op =
@@ -465,78 +601,94 @@ let instrument_instr_live c ~at (ins : instr) (jumps : Interp.jump_info) : instr
         | LocalSet _ -> Lset
         | _ -> Ltee
       in
-      let value_arg =
-        match fold_args c ~at ins with
-        | Some [ v ] ->
-          record_fold c ~at [ v ];
-          push_const_split ~split:c.split_i64 v
-        | _ -> push_local ~split:c.split_i64 ty x
-      in
-      ins :: hook_call c ~at (S_local (op, ty)) [ [ iconst x ]; value_arg ]
+      hook_open c ~at;
+      emit c (iconst c x);
+      (match fold_args c ~at ins with
+       | Some [ v ] ->
+         record_fold c ~at [ v ];
+         push_const c (Const v)
+       | _ -> push_local c ty x);
+      hook_close c (S_local (op, ty))
     end
-    else plain
-  | GlobalGet x ->
+  | GlobalGet x | GlobalSet x ->
     if enabled c G_global then begin
       let ty = (Tracker.global_type c.tracker x).content in
-      match fold_args c ~at ins with
-      | Some [ v ] ->
-        record_fold c ~at [ v ];
-        ins
-        :: hook_call c ~at (S_global (Gget, ty))
-             [ [ iconst x ]; push_const_split ~split:c.split_i64 v ]
-      | _ ->
-        let t = temp c ty 0 in
-        [ ins; LocalTee t ]
-        @ hook_call c ~at (S_global (Gget, ty)) [ [ iconst x ]; push_local ~split:c.split_i64 ty t ]
+      let op = match ins with GlobalGet _ -> Gget | _ -> Gset in
+      (match fold_args c ~at ins with
+       | Some [ v ] ->
+         record_fold c ~at [ v ];
+         emit c ins;
+         hook_open c ~at;
+         emit c (iconst c x);
+         push_const c (Const v)
+       | _ ->
+         let t = temp c ty 0 in
+         if op = Gget then begin
+           emit c ins;
+           emit c (local_tee c t)
+         end
+         else begin
+           emit c (local_tee c t);
+           emit c ins
+         end;
+         hook_open c ~at;
+         emit c (iconst c x);
+         push_local c ty t);
+      hook_close c (S_global (op, ty))
     end
-    else plain
-  | GlobalSet x ->
-    if enabled c G_global then begin
-      let ty = (Tracker.global_type c.tracker x).content in
-      match fold_args c ~at ins with
-      | Some [ v ] ->
-        record_fold c ~at [ v ];
-        ins
-        :: hook_call c ~at (S_global (Gset, ty))
-             [ [ iconst x ]; push_const_split ~split:c.split_i64 v ]
-      | _ ->
-        let t = temp c ty 0 in
-        [ LocalTee t; ins ]
-        @ hook_call c ~at (S_global (Gset, ty)) [ [ iconst x ]; push_local ~split:c.split_i64 ty t ]
-    end
-    else plain
+    else emit c ins
   | Load op ->
-    if enabled c G_load then
+    if enabled c G_load then begin
       let ta = temp c I32T 0 in
       let tv = temp c op.lty 1 in
-      [ LocalTee ta; ins; LocalTee tv ]
-      @ hook_call c ~at (S_load (string_of_instr ins, op.lty))
-          [ [ LocalGet ta ]; [ iconst op.loffset ]; push_local ~split:c.split_i64 op.lty tv ]
-    else plain
+      emit c (local_tee c ta);
+      emit c ins;
+      emit c (local_tee c tv);
+      hook_open c ~at;
+      emit c (local_get c ta);
+      emit c (iconst c op.loffset);
+      push_local c op.lty tv;
+      hook_close c (S_load (string_of_instr ins, op.lty))
+    end
+    else emit c ins
   | Store op ->
-    if enabled c G_store then
+    if enabled c G_store then begin
       let tv = temp c op.sty 1 in
       let ta = temp c I32T 0 in
-      [ LocalSet tv; LocalTee ta; LocalGet tv; ins ]
-      @ hook_call c ~at (S_store (string_of_instr ins, op.sty))
-          [ [ LocalGet ta ]; [ iconst op.soffset ]; push_local ~split:c.split_i64 op.sty tv ]
-    else plain
+      emit c (local_set c tv);
+      emit c (local_tee c ta);
+      emit c (local_get c tv);
+      emit c ins;
+      hook_open c ~at;
+      emit c (local_get c ta);
+      emit c (iconst c op.soffset);
+      push_local c op.sty tv;
+      hook_close c (S_store (string_of_instr ins, op.sty))
+    end
+    else emit c ins
   | MemorySize ->
-    if enabled c G_memory_size then
-      let t = temp c I32T 0 in
-      [ ins; LocalTee t ] @ hook_call c ~at S_memory_size [ [ LocalGet t ] ]
-    else plain
+    emit c ins;
+    if enabled c G_memory_size then hook_call1 c ~at S_memory_size (tee_i32 c)
   | MemoryGrow ->
-    if enabled c G_memory_grow then
+    if enabled c G_memory_grow then begin
       let td = temp c I32T 0 in
       let tp = temp c I32T 1 in
-      [ LocalTee td; ins; LocalTee tp ]
-      @ hook_call c ~at S_memory_grow [ [ LocalGet td ]; [ LocalGet tp ] ]
-    else plain
+      emit c (local_tee c td);
+      emit c ins;
+      emit c (local_tee c tp);
+      hook_open c ~at;
+      emit c (local_get c td);
+      emit c (local_get c tp);
+      hook_close c S_memory_grow
+    end
+    else emit c ins
   | Const v ->
-    if enabled c G_const then
-      ins :: hook_call c ~at (S_const (Value.type_of v)) [ push_const_split ~split:c.split_i64 v ]
-    else plain
+    emit c ins;
+    if enabled c G_const then begin
+      hook_open c ~at;
+      push_const c ins;
+      hook_close c (S_const (Value.type_of v))
+    end
   | Test _ | Unary _ | Convert _ ->
     if enabled c G_unary then begin
       let it, rt =
@@ -544,26 +696,28 @@ let instrument_instr_live c ~at (ins : instr) (jumps : Interp.jump_info) : instr
         | Test (IEqz sz) -> (num_type_of_isize sz, I32T)
         | Unary (IUn (sz, _)) -> (num_type_of_isize sz, num_type_of_isize sz)
         | Unary (FUn (sz, _)) -> (num_type_of_fsize sz, num_type_of_fsize sz)
-        | Convert op ->
-          let f, t = Tracker.cvt_types op in
-          (f, t)
+        | Convert op -> Tracker.cvt_types op
         | _ -> assert false
       in
-      match fold_args c ~at ins with
-      | Some [ vin; vres ] ->
-        record_fold c ~at [ vin; vres ];
-        ins
-        :: hook_call c ~at (S_unary (string_of_instr ins, it, rt))
-             [ push_const_split ~split:c.split_i64 vin;
-               push_const_split ~split:c.split_i64 vres ]
-      | _ ->
-        let t_in = temp c it 0 in
-        let t_res = temp c rt 1 in
-        [ LocalTee t_in; ins; LocalTee t_res ]
-        @ hook_call c ~at (S_unary (string_of_instr ins, it, rt))
-            [ push_local ~split:c.split_i64 it t_in; push_local ~split:c.split_i64 rt t_res ]
+      (match fold_args c ~at ins with
+       | Some [ vin; vres ] ->
+         record_fold c ~at [ vin; vres ];
+         emit c ins;
+         hook_open c ~at;
+         push_const c (Const vin);
+         push_const c (Const vres)
+       | _ ->
+         let t_in = temp c it 0 in
+         let t_res = temp c rt 1 in
+         emit c (local_tee c t_in);
+         emit c ins;
+         emit c (local_tee c t_res);
+         hook_open c ~at;
+         push_local c it t_in;
+         push_local c rt t_res);
+      hook_close c (S_unary (string_of_instr ins, it, rt))
     end
-    else plain
+    else emit c ins
   | Compare _ | Binary _ ->
     if enabled c G_binary then begin
       let ot, rt =
@@ -574,23 +728,30 @@ let instrument_instr_live c ~at (ins : instr) (jumps : Interp.jump_info) : instr
         | Binary (FBin (sz, _)) -> (num_type_of_fsize sz, num_type_of_fsize sz)
         | _ -> assert false
       in
-      match fold_args c ~at ins with
-      | Some [ va; vb; vr ] ->
-        record_fold c ~at [ va; vb; vr ];
-        ins
-        :: hook_call c ~at (S_binary (string_of_instr ins, ot, ot, rt))
-             [ push_const_split ~split:c.split_i64 va;
-               push_const_split ~split:c.split_i64 vb;
-               push_const_split ~split:c.split_i64 vr ]
-      | _ ->
-        let ta = temp c ot 0 in
-        let tb = temp c ot 1 in
-        let tr = temp c rt 2 in
-        [ LocalSet tb; LocalTee ta; LocalGet tb; ins; LocalTee tr ]
-        @ hook_call c ~at (S_binary (string_of_instr ins, ot, ot, rt))
-            [ push_local ~split:c.split_i64 ot ta; push_local ~split:c.split_i64 ot tb; push_local ~split:c.split_i64 rt tr ]
+      (match fold_args c ~at ins with
+       | Some [ va; vb; vr ] ->
+         record_fold c ~at [ va; vb; vr ];
+         emit c ins;
+         hook_open c ~at;
+         push_const c (Const va);
+         push_const c (Const vb);
+         push_const c (Const vr)
+       | _ ->
+         let ta = temp c ot 0 in
+         let tb = temp c ot 1 in
+         let tr = temp c rt 2 in
+         emit c (local_set c tb);
+         emit c (local_tee c ta);
+         emit c (local_get c tb);
+         emit c ins;
+         emit c (local_tee c tr);
+         hook_open c ~at;
+         push_local c ot ta;
+         push_local c ot tb;
+         push_local c rt tr);
+      hook_close c (S_binary (string_of_instr ins, ot, ot, rt))
     end
-    else plain
+    else emit c ins
 
 (** Would any enabled group emit hooks at this instruction? Used to
     decide whether dropping the hooks of a statically-dead site is worth
@@ -622,58 +783,79 @@ let would_hook c = function
     is emitted ([Metadata.F_dead], verified by the lint against the
     recomputed facts). Everything else goes through the normal per-arm
     instrumentation (which may still fold constant arguments). *)
-let instrument_instr c ~at (ins : instr) (jumps : Interp.jump_info) : instr list =
+let instrument_instr c ~at (ins : instr) (jumps : Interp.jump_info) =
   match c.facts with
   | Some fx when would_hook c ins && not (Static.Absint.live fx ~func:c.fidx ~pc:at) ->
     c.folded <- (at, None) :: c.folded;
-    [ ins ]
+    emit c ins
   | _ -> instrument_instr_live c ~at ins jumps
 
-let instrument_func ~groups ~hooks ~placeholder_base ~split_i64 ~vctx ~fidx ~is_start
-    ~facts (f : func)
-    : func * Metadata.br_table_info list * int list * (int * Value.t list option) list =
-  let body = Array.of_list f.body in
+(** One function's instrumentation, before the final remapping pass. *)
+type func_result = {
+  fr_func : func;  (** the original function, its locals extended by the temporaries *)
+  fr_body : instr array;
+      (** the instrumented body, calling hooks through placeholder indices.
+          An array, not a list: it lives until every function is done, so
+          the GC promotes and scans it, and it has a third of a list's words *)
+  fr_br_tables : Metadata.br_table_info list;
+  fr_dead_skipped : int list;
+  fr_folded : (int * Value.t list option) list;
+}
+
+(* The body arrays are built from [Nop] rather than from an element of
+   the list: [Array.make] of a large array with a young initial value
+   forces a minor collection, once per function. *)
+
+let array_of_list l =
+  let a = Array.make (List.length l) Nop in
+  List.iteri (fun i ins -> a.(i) <- ins) l;
+  a
+
+(** The array of the reversed list [rev], in forward order. *)
+let array_of_rev_list rev =
+  let n = List.length rev in
+  let a = Array.make n Nop in
+  List.iteri (fun i ins -> a.(n - 1 - i) <- ins) rev;
+  a
+
+let instrument_func ~mask ~hooks ~sh ~split_i64 ~vctx ~fidx ~is_start ~facts (f : func) =
+  let body = array_of_list f.body in
   let jumps = Interp.compute_jumps body in
   let params = vctx.Validate.Module_ctx.types.(f.ftype).params in
   let c = {
     fidx;
-    groups;
+    mask;
     hooks;
-    placeholder_base;
+    sh;
     tracker = Tracker.create_in vctx f;
     ctrl = [ { ce_kind = Bfunction; ce_begin = -1; ce_end = Array.length body } ];
-    temp_tbl = Hashtbl.create 8;
-    hook_cache = Hashtbl.create 32;
-    req_counts = Hashtbl.create 32;
+    temps = Array.make 16 (-1);
+    hook_tbl = Hashtbl.create 32;
     extra_locals = [];
     n_extra = 0;
     first_temp = List.length params + List.length f.locals;
     split_i64;
+    out = [];
     br_tables = [];
     dead_skipped = [];
     facts;
     folded = [];
   } in
-  let out = ref [] in
-  let emit is = out := List.rev_append is !out in
-  if is_start && enabled c G_start then emit (hook_call c ~at:(-1) S_start []);
-  if enabled c G_begin then emit (hook_call c ~at:(-1) (S_begin Bfunction) []);
+  if is_start && enabled c G_start then hook_call c ~at:(-1) S_start;
+  if enabled c G_begin then hook_call c ~at:(-1) (S_begin Bfunction);
   Array.iteri
     (fun at ins ->
-       let replacement = instrument_instr c ~at ins jumps in
-       Tracker.step c.tracker ins;
-       emit replacement)
+       instrument_instr c ~at ins jumps;
+       Tracker.step c.tracker ins)
     body;
   if enabled c G_end then
-    emit (hook_call c ~at:(Array.length body) (S_end Bfunction) [ [ iconst (-1) ] ]);
-  let f' = {
-    f with
-    locals = f.locals @ List.rev c.extra_locals;
-    body = List.rev !out;
-  } in
-  Hook.Map.note_requests hooks
-    (Hashtbl.fold (fun s r acc -> (s, !r) :: acc) c.req_counts []);
-  (f', c.br_tables, List.rev c.dead_skipped, List.rev c.folded)
+    hook_call1 c ~at:(Array.length body) (S_end Bfunction) const_minus_one;
+  Hook.Map.note_requests hooks (Hashtbl.fold (fun s e acc -> (s, e.reqs) :: acc) c.hook_tbl []);
+  { fr_func = { f with locals = f.locals @ List.rev c.extra_locals };
+    fr_body = array_of_rev_list c.out;
+    fr_br_tables = c.br_tables;
+    fr_dead_skipped = List.rev c.dead_skipped;
+    fr_folded = List.rev c.folded }
 
 (** Remap a function index after hook imports have been inserted.
     [n_imp] original imported functions keep their indices; the [h] hooks
@@ -685,38 +867,37 @@ let remap_index ~n_imp ~n_orig ~h idx =
   else if idx >= n_orig then n_imp + (idx - n_orig)  (* hook placeholder *)
   else idx + h
 
-let remap_instr remap = function
-  | Call f -> Call (remap f)
-  | i -> i
-
 (** Instrument the defined functions, optionally across several domains:
     functions are independent — the only shared state is the mutex-guarded
-    monomorphization map (paper, Section 3). Results are kept in function
-    order regardless of scheduling. *)
-let instrument_functions ~groups ~hooks ~split_i64 ~vctx ~n_imp ~n_orig ~start ~domains
-    ~instrument_fidx ~facts funcs =
+    monomorphization map (paper, Section 3); each domain has its own
+    shared-instruction tables. Results are kept in function order
+    regardless of scheduling. Pruned functions keep their body verbatim;
+    the remapping pass fixes their call sites like everyone else's. *)
+let instrument_functions ~mask ~hooks ~split_i64 ~vctx ~n_imp ~n_orig ~start ~domains ~pruned
+    ~facts funcs =
   let arr = Array.of_list funcs in
   let results = Array.make (Array.length arr) None in
-  let one i f =
+  let one sh i f =
     let fidx = n_imp + i in
     results.(i) <-
       Some
-        (if instrument_fidx fidx then
-           instrument_func ~groups ~hooks ~placeholder_base:n_orig ~split_i64 ~vctx ~fidx
-             ~is_start:(start = Some fidx) ~facts f
+        (if pruned.(fidx) then
+           { fr_func = f; fr_body = array_of_list f.body; fr_br_tables = [];
+             fr_dead_skipped = []; fr_folded = [] }
          else
-           (* pruned: the body is kept verbatim; the final remapping pass
-              still fixes its call sites for the shifted index space *)
-           (f, [], [], []))
+           instrument_func ~mask ~hooks ~sh ~split_i64 ~vctx ~fidx
+             ~is_start:(start = Some fidx) ~facts f)
   in
-  if domains <= 1 || Array.length arr < 2 then Array.iteri one arr
+  let interns () = make_interns ~placeholder_base:n_orig in
+  if domains <= 1 || Array.length arr < 2 then Array.iteri (one (interns ())) arr
   else begin
     let next = Atomic.make 0 in
     let worker () =
+      let sh = interns () in
       let rec go () =
         let i = Atomic.fetch_and_add next 1 in
         if i < Array.length arr then begin
-          one i arr.(i);
+          one sh i arr.(i);
           go ()
         end
       in
@@ -726,7 +907,7 @@ let instrument_functions ~groups ~hooks ~split_i64 ~vctx ~n_imp ~n_orig ~start ~
     worker ();
     List.iter Domain.join spawned
   end;
-  Array.to_list (Array.map Option.get results)
+  Array.map Option.get results
 
 (** Instrument [m] for the hook groups in [groups] (defaults to all).
     [domains] > 1 instruments functions in parallel (hook ordinals then
@@ -752,55 +933,32 @@ let instrument ?(groups = Hook.all) ?(split_i64 = true) ?(domains = 1)
       Static.Callgraph.dead_functions (Static.Callgraph.build ~precise:fold m)
     else []
   in
-  let instrument_fidx fidx = not (List.mem fidx pruned_funcs) in
-  let br_tables = ref Location.Map.empty in
-  let dead_skipped = ref [] in
-  let folded_sites = ref [] in
-  let instrumented_funcs =
+  let pruned = Array.make n_orig false in
+  List.iter (fun i -> pruned.(i) <- true) pruned_funcs;
+  let mask = Hook.Group_set.fold (fun g acc -> acc lor Hook.group_bit g) groups 0 in
+  let results =
     Obs.Span.with_ "instrument.functions" @@ fun () ->
-    instrument_functions ~groups ~hooks ~split_i64 ~vctx ~n_imp ~n_orig ~start:m.start ~domains
-      ~instrument_fidx ~facts m.funcs
+    instrument_functions ~mask ~hooks ~split_i64 ~vctx ~n_imp ~n_orig ~start:m.start ~domains
+      ~pruned ~facts m.funcs
   in
   Obs.Span.with_ "instrument.assemble" @@ fun () ->
-  let funcs' =
-    List.mapi
-      (fun i (f', bts, dead, folded) ->
-         List.iter
-           (fun (bt : Metadata.br_table_info) ->
-              br_tables := Location.Map.add bt.bt_loc bt !br_tables)
-           bts;
-         List.iter
-           (fun at ->
-              dead_skipped := Location.make ~func:(n_imp + i) ~instr:at :: !dead_skipped)
-           dead;
-         List.iter
-           (fun (at, args) ->
-              let loc = Location.make ~func:(n_imp + i) ~instr:at in
-              folded_sites :=
-                (match args with
-                 | None -> Metadata.F_dead loc
-                 | Some vs -> Metadata.F_args (loc, vs))
-                :: !folded_sites)
-           folded;
-         f')
-      instrumented_funcs
-  in
   let h = Hook.Map.count hooks in
   let specs = Hook.Map.specs hooks in
-  (* add hook signatures to the type section (re-using existing entries) *)
-  let types = ref (List.rev m.types) in
+  (* add hook signatures to the type section, re-using existing entries
+     (the last of equal ones) *)
+  let type_ids = Hashtbl.create 64 in
+  List.iteri (fun i ft -> Hashtbl.replace type_ids ft i) m.types;
+  let new_types = ref [] in
   let n_types = ref (List.length m.types) in
   let type_index ft =
-    let rec find i = function
-      | [] -> None
-      | t :: rest -> if equal_func_type t ft then Some (!n_types - 1 - i) else find (i + 1) rest
-    in
-    match find 0 !types with
+    match Hashtbl.find_opt type_ids ft with
     | Some i -> i
     | None ->
-      types := ft :: !types;
+      let i = !n_types in
+      Hashtbl.add type_ids ft i;
+      new_types := ft :: !new_types;
       incr n_types;
-      !n_types - 1
+      i
   in
   let hook_imports =
     Array.to_list specs
@@ -810,14 +968,43 @@ let instrument ?(groups = Hook.all) ?(split_i64 = true) ?(domains = 1)
         idesc = FuncImport (type_index (Hook.signature ~split_i64 spec)) })
   in
   let remap = remap_index ~n_imp ~n_orig ~h in
-  let funcs'' =
-    List.map (fun f -> { f with body = List.map (remap_instr remap) f.body }) funcs'
+  (* every call site, original or hook placeholder, is remapped through
+     one pre-built instruction per index *)
+  let calls = Array.init (n_orig + h) (fun i -> Call (remap i)) in
+  let remap_instr = function Call f -> calls.(f) | i -> i in
+  let br_tables = ref Location.Map.empty in
+  let dead_skipped = ref [] in
+  let folded_sites = ref [] in
+  let funcs =
+    Array.to_list
+      (Array.mapi
+         (fun i r ->
+            let func = n_imp + i in
+            List.iter
+              (fun (bt : Metadata.br_table_info) ->
+                 br_tables := Location.Map.add bt.bt_loc bt !br_tables)
+              r.fr_br_tables;
+            List.iter
+              (fun at -> dead_skipped := Location.make ~func ~instr:at :: !dead_skipped)
+              r.fr_dead_skipped;
+            List.iter
+              (fun (at, args) ->
+                 let loc = Location.make ~func ~instr:at in
+                 folded_sites :=
+                   (match args with
+                    | None -> Metadata.F_dead loc
+                    | Some vs -> Metadata.F_args (loc, vs))
+                   :: !folded_sites)
+              r.fr_folded;
+            let body = Array.fold_right (fun i acc -> remap_instr i :: acc) r.fr_body [] in
+            { r.fr_func with body })
+         results)
   in
   let instrumented = {
     m with
-    types = List.rev !types;
+    types = m.types @ List.rev !new_types;
     imports = m.imports @ hook_imports;
-    funcs = funcs'';
+    funcs;
     exports =
       List.map
         (fun e ->

@@ -1,7 +1,10 @@
 (** The Wasabi binary instrumenter (paper, Section 2.4): inserts calls to
     imported low-level hooks around every instruction of the selected
     groups, following Table 3 of the paper. The instrumented module
-    faithfully preserves the original behaviour, including its memory. *)
+    faithfully preserves the original behaviour, including its memory.
+    Its function bodies share instruction values with the input module
+    and among themselves (instructions are immutable, see
+    {!Wasm.Ast.instr}), so no caller may rely on their physical identity. *)
 
 type result = {
   instrumented : Wasm.Ast.module_;

@@ -58,6 +58,10 @@ type storeop = {
 (** MVP block types: no result or a single result. *)
 type block_type = value_type option
 
+(** Instructions are immutable values. Transformations may share one
+    value between many positions, bodies and modules (the instrumenter
+    does, for its constants, local accesses and calls), so no code may
+    rely on the physical identity of an instruction. *)
 type instr =
   | Unreachable
   | Nop

@@ -513,24 +513,162 @@ let test_instrument_module_with_imports () =
     [ Printf.sprintf "call func=%d" log; Printf.sprintf "call func=%d" helper ]
     (got ())
 
+(* Each function body with every hook call replaced by the hook's spec:
+   hook ordinals depend on scheduling under [~domains], the specs do not. *)
+let bodies_by_spec (r : W.Instrument.result) =
+  let md = r.W.Instrument.metadata in
+  let n_imp = md.W.Metadata.num_original_func_imports in
+  let h = md.W.Metadata.num_hooks in
+  List.map
+    (fun (f : func) ->
+       ( f.locals,
+         List.map
+           (function
+             | Call k when k >= n_imp && k < n_imp + h ->
+               Either.Left md.W.Metadata.hook_specs.(k - n_imp)
+             | i -> Either.Right i)
+           f.body ))
+    r.W.Instrument.instrumented.funcs
+
 let test_parallel_instrumentation () =
-  (* functions instrumented across 4 domains: the module still validates
-     and behaves identically (hook ordinals may differ from serial) *)
+  (* functions instrumented across 2 and 4 domains: hook ordinals may
+     differ from serial, but once every hook call is mapped to its spec
+     each function body must be the serial one, and behaviour is kept *)
+  let corpus = Workloads.Corpus.make () in
   let m =
-    Minic.Mc_compile.compile (Workloads.Realworld.pdfkit ~doc_len:200 ())
+    Bench_support.Support.replicate_module
+      (Workloads.Corpus.find corpus "pdfkit").Workloads.Corpus.module_ ~copies:19
   in
   Validate.validate_module m;
   let serial = W.Instrument.instrument m in
-  let parallel = W.Instrument.instrument ~domains:4 m in
-  Validate.validate_module parallel.W.Instrument.instrumented;
-  Alcotest.(check int) "same number of hooks"
-    (serial.W.Instrument.metadata.W.Metadata.num_hooks)
-    (parallel.W.Instrument.metadata.W.Metadata.num_hooks);
+  let serial_bodies = bodies_by_spec serial in
   let run res =
     let inst, _ = W.Runtime.instantiate res W.Analysis.default in
     Interp.invoke_export inst "run" []
   in
-  check_values "parallel = serial behaviour" (run serial) (run parallel)
+  let expected = run serial in
+  List.iter
+    (fun domains ->
+       let parallel = W.Instrument.instrument ~domains m in
+       Validate.validate_module parallel.W.Instrument.instrumented;
+       Alcotest.(check int)
+         (Printf.sprintf "same number of hooks (%d domains)" domains)
+         serial.W.Instrument.metadata.W.Metadata.num_hooks
+         parallel.W.Instrument.metadata.W.Metadata.num_hooks;
+       List.iteri
+         (fun i (s, p) ->
+            (* [compare], not [=]: a NaN constant is equal to itself here *)
+            if compare s p <> 0 then
+              Alcotest.failf "%d domains: function %d differs from the serial body" domains i)
+         (List.combine serial_bodies (bodies_by_spec parallel));
+       check_values
+         (Printf.sprintf "parallel = serial behaviour (%d domains)" domains)
+         expected (run parallel))
+    [ 2; 4 ]
+
+(* --- golden output -------------------------------------------------- *)
+
+(* MD5 of the encoded instrumented module and of the br_table, fold and
+   dead-skip metadata, per input and configuration. Recorded before the
+   emission path was rewritten to allocate less; any change to the
+   output bytes or to those records fails here. *)
+let golden_configs =
+  [ ("all", fun m -> W.Instrument.instrument m);
+    ("call,return",
+     fun m -> W.Instrument.instrument ~groups:(W.Hook.of_list [ W.Hook.G_call; W.Hook.G_return ]) m);
+    ("nosplit", fun m -> W.Instrument.instrument ~split_i64:false m);
+    ("fold", fun m -> W.Instrument.instrument ~fold:true m);
+    ("prune", fun m -> W.Instrument.instrument ~prune_unreachable:true m) ]
+
+let golden_digests =
+  [
+    (("pdfkit", "all"),
+     ("665e25f7eacaedf6543fade8554f35ae", "ba5a95a61d92c7413fa5b792deb7f680"));
+    (("pdfkit", "call,return"),
+     ("71f197ea94d13d87e3cb7de2ee1f79dc", "fadef0279ec7f3cff05a989372ebb74d"));
+    (("pdfkit", "nosplit"),
+     ("83d1d675d8b0c6e65bd89e27cb66d907", "ba5a95a61d92c7413fa5b792deb7f680"));
+    (("pdfkit", "fold"),
+     ("4a235d0ade60edd7f944c80233688c45", "7de1a934856597ba92ce976e9627c622"));
+    (("pdfkit", "prune"),
+     ("9b6ef317e1dfb6340b45fdf1ee3a9b8c", "ba5a95a61d92c7413fa5b792deb7f680"));
+    (("zen_garden", "all"),
+     ("a8c532b8410e43142b8546beac288b73", "fadef0279ec7f3cff05a989372ebb74d"));
+    (("zen_garden", "call,return"),
+     ("6da26d1e9e4a467843bdb225d0c713e6", "fadef0279ec7f3cff05a989372ebb74d"));
+    (("zen_garden", "nosplit"),
+     ("2ad80bde1c37953d96190d239cbb03b6", "fadef0279ec7f3cff05a989372ebb74d"));
+    (("zen_garden", "fold"),
+     ("f6f2b334594c61c7684fd96b891d500d", "aa32210019ba3d1a626a6418ab44ffa4"));
+    (("zen_garden", "prune"),
+     ("32912198cff8300de309b707925c22bd", "fadef0279ec7f3cff05a989372ebb74d"));
+    (("gemm", "all"),
+     ("cd8de5d6e1a5b0cf7bc64c5067f0e2d0", "fadef0279ec7f3cff05a989372ebb74d"));
+    (("gemm", "call,return"),
+     ("5d42a9553794bbf1f6a02c3051f960d1", "fadef0279ec7f3cff05a989372ebb74d"));
+    (("gemm", "nosplit"),
+     ("cd8de5d6e1a5b0cf7bc64c5067f0e2d0", "fadef0279ec7f3cff05a989372ebb74d"));
+    (("gemm", "fold"),
+     ("22c30e40b55ef8c42a27c063f517e072", "1d4bf260b934e5b6aec0289ab46e86c5"));
+    (("gemm", "prune"),
+     ("cd8de5d6e1a5b0cf7bc64c5067f0e2d0", "fadef0279ec7f3cff05a989372ebb74d"));
+    (("atax", "all"),
+     ("90a137b0dd7e943d3f8f69a4c9485852", "fadef0279ec7f3cff05a989372ebb74d"));
+    (("atax", "call,return"),
+     ("d370c3e7dd571f957eea9a2e49e7060f", "fadef0279ec7f3cff05a989372ebb74d"));
+    (("atax", "nosplit"),
+     ("90a137b0dd7e943d3f8f69a4c9485852", "fadef0279ec7f3cff05a989372ebb74d"));
+    (("atax", "fold"),
+     ("93207039e65047cae831332a4de3a058", "972573ad7ee319cb865ffb5b3428dea4"));
+    (("atax", "prune"),
+     ("90a137b0dd7e943d3f8f69a4c9485852", "fadef0279ec7f3cff05a989372ebb74d"));
+    (("jacobi-2d", "all"),
+     ("161f91ca22de94eacae84d565dd402dd", "fadef0279ec7f3cff05a989372ebb74d"));
+    (("jacobi-2d", "call,return"),
+     ("27e20d9ecc3ae1bb98b96a53e9f41540", "fadef0279ec7f3cff05a989372ebb74d"));
+    (("jacobi-2d", "nosplit"),
+     ("161f91ca22de94eacae84d565dd402dd", "fadef0279ec7f3cff05a989372ebb74d"));
+    (("jacobi-2d", "fold"),
+     ("a520f6040bb96fc2e40edfd9838758f1", "d854a8b5228cbf9400489bb642fe6d7d"));
+    (("jacobi-2d", "prune"),
+     ("161f91ca22de94eacae84d565dd402dd", "fadef0279ec7f3cff05a989372ebb74d"));
+    (("pdfkit x100", "all"),
+     ("08b8d78c86800fb8eee1a634c53d0675", "5c3b0f0a93691e9314942702c2432ba7"));
+  ]
+
+let metadata_digest (md : W.Metadata.t) =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          ( W.Location.Map.bindings md.W.Metadata.br_tables,
+            md.W.Metadata.folded,
+            md.W.Metadata.dead_skipped )
+          [ Marshal.No_sharing ]))
+
+let test_golden_output () =
+  let corpus = Workloads.Corpus.make () in
+  let input name = (Workloads.Corpus.find corpus name).Workloads.Corpus.module_ in
+  let pdfkit_x100 = Bench_support.Support.replicate_module (input "pdfkit") ~copies:99 in
+  let cases =
+    List.concat_map
+      (fun name -> List.map (fun (cfg, f) -> (name, cfg, fun () -> f (input name))) golden_configs)
+      [ "pdfkit"; "zen_garden"; "gemm"; "atax"; "jacobi-2d" ]
+    @ [ ("pdfkit x100", "all", fun () -> W.Instrument.instrument pdfkit_x100) ]
+  in
+  let bad =
+    List.filter_map
+      (fun (name, cfg, run) ->
+         let r = run () in
+         let got =
+           ( Digest.to_hex (Digest.string (Encode.encode r.W.Instrument.instrumented)),
+             metadata_digest r.W.Instrument.metadata )
+         in
+         match List.assoc_opt (name, cfg) golden_digests with
+         | Some want when want = got -> None
+         | _ -> Some (Printf.sprintf "    ((%S, %S), (%S, %S));" name cfg (fst got) (snd got)))
+      cases
+  in
+  if bad <> [] then Alcotest.failf "golden digests differ:\n%s" (String.concat "\n" bad)
 
 let test_export_names_preserved () =
   let m = rich_module () in
@@ -565,5 +703,6 @@ let suite =
     case "if hook" test_if_hook;
     case "module with imports" test_instrument_module_with_imports;
     case "parallel instrumentation" test_parallel_instrumentation;
+    case "golden output" test_golden_output;
     case "exports preserved" test_export_names_preserved;
   ]
